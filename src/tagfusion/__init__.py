@@ -82,7 +82,6 @@ from .neighbors import (
     calibrate_normalizer,
     calibrate_normalizers,
     combined_distance,
-    format_neighbor_dump,
     knn,
     l1_distance,
 )

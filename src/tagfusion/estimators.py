@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .neighbors import (
     NeighborList,
     WeightVector,
     _combined_to_all,
+    _distinct_pairs,
     knn,
     l1_to_all,
     pairwise_l1,
@@ -64,17 +65,6 @@ class ScoreTable:
         return ranking_of(self.scores)
 
 
-def _candidate_ids(scored: Collection, w: str, candidates: Iterable[str] | None) -> list[str]:
-    labeled = images_with_tag(scored, w)
-    if candidates is None:
-        return sorted(labeled)
-    out = sorted(candidates)
-    bad = [x for x in out if x not in labeled]
-    if bad:
-        raise ValueError(f"candidate {bad[0]!r} does not carry tag {w!r}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # neighbor voting (single feature and early fused)
 # ---------------------------------------------------------------------------
@@ -115,20 +105,50 @@ def early_fused_score(
     return neighbor_vote(c, nl, w, k)
 
 
-def _topk_vote(
+def _vote_scores(
     c: Collection,
-    dist: np.ndarray,
-    self_index: int | None,
-    tagged: np.ndarray,
+    w: str,
+    metric: str | WeightVector,
+    normalizers: Mapping[str, DistanceNormalizer] | None,
     k: int,
-) -> int:
-    if self_index is not None:
-        dist = dist.copy()
-        dist[self_index] = np.inf
-    order = np.lexsort((c.id_rank, dist))
-    if self_index is not None:
-        order = order[order != self_index]
-    return int(tagged[order[: min(k, len(order))]].sum())
+    scored: Collection | None,
+) -> dict[str, float]:
+    """Neighbor-vote score of every image labeled `w` in `scored`.
+
+    `metric` is a feature name (raw L1) or a WeightVector (combined distance),
+    as in `knn`. Neighbors and the tag prior come from the source `c`;
+    `scored` defaults to the source itself, and an image present in both is
+    never its own neighbor. Candidates go 64 at a time; each selects the top
+    k by distance, then ascending id, so the scores are bit-identical to
+    neighbor_vote over knn per candidate.
+    """
+    if len(c) == 0:
+        raise ValueError("empty source collection")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    scored = scored if scored is not None else c
+    cand = sorted(images_with_tag(scored, w))
+    labeled = images_with_tag(c, w)
+    tagged = np.array([rec.image_id in labeled for rec in c.images], dtype=bool)
+    prior = tag_prior(c, w)
+    features = [metric] if isinstance(metric, str) else list(dict.fromkeys(metric.names))
+    scores: dict[str, float] = {}
+    for start in range(0, len(cand), 64):
+        block = cand[start : start + 64]
+        own = np.array([c.index_of(x) if x in c else -1 for x in block])
+        qvecs = {f: np.stack([scored.vector(f, x) for x in block]) for f in features}
+        if isinstance(metric, str):
+            dist = pairwise_l1(qvecs[metric], c.feature(metric).matrix)
+        else:
+            dist = _combined_to_all(c, metric, qvecs, own, normalizers or {})
+        rows = np.nonzero(own >= 0)[0]
+        dist[rows, own[rows]] = np.inf  # sorts last, behind every real neighbor
+        order = np.lexsort((np.broadcast_to(c.id_rank, dist.shape), dist), axis=-1)
+        within = np.arange(len(c)) < np.minimum(k, len(c) - (own >= 0))[:, None]
+        votes = (tagged[order] & within).sum(axis=1)
+        for x, v in zip(block, votes):
+            scores[x] = int(v) / k - prior
+    return scores
 
 
 def neighbor_vote_table(
@@ -136,7 +156,6 @@ def neighbor_vote_table(
     w: str,
     feature: str,
     k: int,
-    candidates: Iterable[str] | None = None,
     scored: Collection | None = None,
 ) -> ScoreTable:
     """Neighbor-vote scores for every candidate image of tag `w`.
@@ -145,24 +164,7 @@ def neighbor_vote_table(
     labeled `w`) live in `scored`, which defaults to the source itself.
     Bit-identical to calling neighbor_vote over knn per candidate.
     """
-    scored = scored if scored is not None else c
-    cand = _candidate_ids(scored, w, candidates)
-    if len(c) == 0:
-        raise ValueError("empty source collection")
-    labeled = images_with_tag(c, w)
-    tagged = np.array([rec.image_id in labeled for rec in c.images], dtype=bool)
-    prior = tag_prior(c, w)
-    src = c.feature(feature).matrix
-    qmat = np.stack([scored.vector(feature, x) for x in cand]) if cand else np.zeros((0, src.shape[1]))
-    scores: dict[str, float] = {}
-    block = 64
-    for start in range(0, len(cand), block):
-        stop = min(start + block, len(cand))
-        dmat = pairwise_l1(qmat[start:stop], src)
-        for row, x in enumerate(cand[start:stop]):
-            self_index = c.index_of(x) if x in c else None
-            votes = _topk_vote(c, dmat[row], self_index, tagged, k)
-            scores[x] = votes / k - prior
+    scores = _vote_scores(c, w, feature, None, k, scored)
     return ScoreTable(estimator=f"tagrel:{feature}", tag=w, scores=scores)
 
 
@@ -172,25 +174,13 @@ def early_fused_table(
     wv: WeightVector,
     normalizers: Mapping[str, DistanceNormalizer] | None,
     k: int,
-    candidates: Iterable[str] | None = None,
     scored: Collection | None = None,
 ) -> ScoreTable:
-    """Early-fused voting scores for every candidate image of tag `w`."""
-    scored = scored if scored is not None else c
-    cand = _candidate_ids(scored, w, candidates)
-    labeled = images_with_tag(c, w)
-    tagged = np.array([rec.image_id in labeled for rec in c.images], dtype=bool)
-    prior = tag_prior(c, w)
-    normalizers = normalizers or {}
-    scores: dict[str, float] = {}
-    for x in cand:
-        self_index = c.index_of(x) if x in c else None
-        qvecs = {name: scored.vector(name, x) for name in dict.fromkeys(wv.names)}
-        dist = _combined_to_all(c, wv, qvecs, self_index, normalizers)
-        if self_index is not None:
-            dist = np.where(np.isnan(dist), np.inf, dist)
-        votes = _topk_vote(c, dist, self_index, tagged, k)
-        scores[x] = votes / k - prior
+    """Early-fused voting scores for every candidate image of tag `w`.
+
+    Bit-identical to early_fused_score per candidate.
+    """
+    scores = _vote_scores(c, w, wv, normalizers, k, scored)
     return ScoreTable(estimator="earlyfuse", tag=w, scores=scores, meta={"weights": wv})
 
 
@@ -211,11 +201,10 @@ def tag_position_score(rec: ImageRecord, w: str) -> float:
 def tag_position_table(
     c: Collection,
     w: str,
-    candidates: Iterable[str] | None = None,
     scored: Collection | None = None,
 ) -> ScoreTable:
     scored = scored if scored is not None else c
-    cand = _candidate_ids(scored, w, candidates)
+    cand = sorted(images_with_tag(scored, w))
     scores = {x: tag_position_score(scored.record(x), w) for x in cand}
     return ScoreTable(estimator="tagposition", tag=w, scores=scores)
 
@@ -307,11 +296,10 @@ def semantic_field_table(
     c: Collection,
     w: str,
     model: TagSimilarityModel,
-    candidates: Iterable[str] | None = None,
     scored: Collection | None = None,
 ) -> ScoreTable:
     scored = scored if scored is not None else c
-    cand = _candidate_ids(scored, w, candidates)
+    cand = sorted(images_with_tag(scored, w))
     scores = {x: semantic_field_score(scored.record(x), w, model) for x in cand}
     return ScoreTable(estimator="semanticfield", tag=w, scores=scores)
 
@@ -334,14 +322,7 @@ def _kde_sigma(
     if n_pairs_total <= sample_cap:
         ii, jj = np.triu_indices(len(members), k=1)
     else:
-        rng = np.random.default_rng([seed, 1])
-        ii = rng.integers(0, len(members), size=sample_cap)
-        jj = rng.integers(0, len(members), size=sample_cap)
-        while True:
-            clash = ii == jj
-            if not clash.any():
-                break
-            jj[clash] = rng.integers(0, len(members), size=int(clash.sum()))
+        ii, jj = _distinct_pairs(np.random.default_rng([seed, 1]), len(members), sample_cap)
     d = np.abs(matrix[idx[ii]] - matrix[idx[jj]]).sum(axis=1)
     sigma = float(np.median(d))
     return sigma if sigma > 0.0 else 1.0
@@ -400,12 +381,11 @@ def kde_table(
     sigma: float | None = None,
     sample_cap: int = 500,
     seed: int = 0,
-    candidates: Iterable[str] | None = None,
     scored: Collection | None = None,
 ) -> ScoreTable:
     """Kernel-density scores for every candidate of `w` (shared default sigma)."""
     scored = scored if scored is not None else c
-    cand = _candidate_ids(scored, w, candidates)
+    cand = sorted(images_with_tag(scored, w))
     if sigma is None:
         sigma = _kde_sigma(c, w, feature, sample_cap, seed)
     scores = {

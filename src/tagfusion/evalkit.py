@@ -275,6 +275,7 @@ class RunEvaluation:
     run_id: str
     per_concept: dict[str, tuple[float, float]]  # tag -> (AP, NDCG@cutoff)
     unjudged_tags: frozenset[str]
+    missing_tags: frozenset[str]
 
     @property
     def mean_ap(self) -> float:
@@ -286,22 +287,30 @@ class RunEvaluation:
 
 
 def evaluate_run(run: RunFile, qrels: Qrels, cutoff: int = 100) -> RunEvaluation:
-    """Per-concept AP and NDCG; tags missing from the qrels score 0 and are flagged."""
+    """Per-concept AP and NDCG over the judged concepts plus the run's own tags.
+
+    Judged concepts the run leaves out score 0 and are flagged missing, so a
+    run cannot raise its means by omitting hard concepts; run tags absent
+    from the qrels score 0 and are flagged unjudged.
+    """
+    if not run.rankings:
+        raise ValueError(f"run {run.run_id!r} ranks no tags")
     per_concept: dict[str, tuple[float, float]] = {}
-    unjudged: set[str] = set()
-    for tag in run.tags():
-        if tag not in qrels:
-            unjudged.add(tag)
+    for tag in sorted(set(qrels.tags()) | set(run.tags())):
+        if tag not in run.rankings:
+            per_concept[tag] = (0.0, 0.0)
+            continue
         relevant = qrels.relevant(tag)
         ranking = run.ranking(tag)
         per_concept[tag] = (
             average_precision(ranking, relevant),
             ndcg_at(ranking, relevant, cutoff=cutoff),
         )
-    if not per_concept:
-        raise ValueError(f"run {run.run_id!r} ranks no tags")
     return RunEvaluation(
-        run_id=run.run_id, per_concept=per_concept, unjudged_tags=frozenset(unjudged)
+        run_id=run.run_id,
+        per_concept=per_concept,
+        unjudged_tags=frozenset(t for t in run.tags() if t not in qrels),
+        missing_tags=frozenset(t for t in qrels.tags() if t not in run.rankings),
     )
 
 
@@ -316,7 +325,8 @@ def render_report(
 
     One concept/AP/NDCG table per run, then a footer with mAP, mNDCG, and
     pairwise randomization-test p-values when two or more runs are given.
-    Significance on a metric requires both runs to rank the same concepts.
+    Concepts one run scores and the other does not count as 0 for the
+    other, so every pairwise test runs over the union of their concepts.
     """
     if not runs:
         raise ValueError("no runs to evaluate")
@@ -327,7 +337,11 @@ def render_report(
         lines.append(f"concept\tAP\tNDCG@{cutoff}")
         for tag in sorted(ev.per_concept):
             ap, nd = ev.per_concept[tag]
-            flag = "\t[unjudged]" if tag in ev.unjudged_tags else ""
+            flag = (
+                "\t[unjudged]" if tag in ev.unjudged_tags
+                else "\t[missing]" if tag in ev.missing_tags
+                else ""
+            )
             lines.append(f"{tag}\t{ap:.6f}\t{nd:.6f}{flag}")
         lines.append("")
     lines.append("== summary ==")
@@ -340,22 +354,18 @@ def render_report(
         for i in range(len(evals)):
             for j in range(i + 1, len(evals)):
                 a, b = evals[i], evals[j]
-                shared = sorted(set(a.per_concept) & set(b.per_concept))
-                if len(shared) < 2:
+                concepts = sorted(set(a.per_concept) | set(b.per_concept))
+                if len(concepts) < 2:
                     lines.append(f"p\tAP\t{a.run_id}\t{b.run_id}\tn/a")
                     lines.append(f"p\tNDCG\t{a.run_id}\t{b.run_id}\tn/a")
                     continue
+                score_a = [a.per_concept.get(t, (0.0, 0.0)) for t in concepts]
+                score_b = [b.per_concept.get(t, (0.0, 0.0)) for t in concepts]
                 p_ap = randomization_test(
-                    [a.per_concept[t][0] for t in shared],
-                    [b.per_concept[t][0] for t in shared],
-                    n_perm=n_perm,
-                    seed=seed,
+                    [s[0] for s in score_a], [s[0] for s in score_b], n_perm=n_perm, seed=seed
                 )
                 p_nd = randomization_test(
-                    [a.per_concept[t][1] for t in shared],
-                    [b.per_concept[t][1] for t in shared],
-                    n_perm=n_perm,
-                    seed=seed,
+                    [s[1] for s in score_a], [s[1] for s in score_b], n_perm=n_perm, seed=seed
                 )
                 lines.append(f"p\tAP\t{a.run_id}\t{b.run_id}\t{p_ap:.6g}")
                 lines.append(f"p\tNDCG\t{a.run_id}\t{b.run_id}\t{p_nd:.6g}")

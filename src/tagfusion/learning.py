@@ -19,7 +19,7 @@ import numpy as np
 from .collection import Collection
 from .estimators import ScoreTable
 from .evalkit import Qrels
-from .neighbors import DistanceNormalizer, WeightVector, l1_distance
+from .neighbors import DistanceNormalizer, WeightVector
 
 
 @dataclass(frozen=True)
@@ -143,17 +143,18 @@ def pair_feature_distances(
     normalization is query-relative and has no meaning for a symmetric pair).
     """
     normalizers = normalizers or {}
+    ia = np.array([c.index_of(p.x) for p in pairs], dtype=np.intp)
+    ib = np.array([c.index_of(p.x_other) for p in pairs], dtype=np.intp)
     out = np.empty((len(pairs), len(features)), dtype=np.float64)
     for j, f in enumerate(features):
         norm = normalizers.get(f, DistanceNormalizer(mode="none"))
         if norm.mode == "rankmax":
             raise ValueError("rankmax normalization is undefined for image pairs")
         matrix = c.feature(f).matrix
-        for i, p in enumerate(pairs):
-            d = l1_distance(matrix[c.index_of(p.x)], matrix[c.index_of(p.x_other)])
-            if norm.mode == "minmax":
-                d = min(1.0, max(0.0, (d - norm.lower) / (norm.upper - norm.lower)))
-            out[i, j] = d
+        d = np.abs(matrix[ia] - matrix[ib]).sum(axis=1)
+        if norm.mode == "minmax":
+            d = np.clip((d - norm.lower) / (norm.upper - norm.lower), 0.0, 1.0)
+        out[:, j] = d
     return out
 
 

@@ -21,7 +21,7 @@ from tagfusion.estimators import (
     tag_position_score,
     tag_ranking_kde_score,
 )
-from tagfusion.neighbors import NeighborList, WeightVector, knn
+from tagfusion.neighbors import NeighborList, WeightVector, calibrate_normalizers, knn
 
 from conftest import line_collection, make_collection
 
@@ -321,3 +321,79 @@ class TestKde:
         full = tag_ranking_kde_score(c, "x000", "w", "f", sigma=1.0, sample_cap=500)
         capped = tag_ranking_kde_score(c, "x000", "w", "f", sigma=1.0, sample_cap=5, seed=1)
         assert full != capped
+
+
+def tie_heavy_world(rng, prefix, n, shared=()):
+    """n images with features quantized to {0, 1, 2} (duplicate vectors and
+    tied distances abound); tags drawn from a small vocabulary, some images
+    untagged. `shared` lists (image_id, row) pairs of another collection whose
+    ids are reused, with a perturbed vector for every other one."""
+    vocab = ["a", "b", "c"]
+    records, rows = [], {"fa": [], "fb": []}
+    for i in range(n):
+        tags = [t for t in vocab if rng.random() < 0.4]
+        records.append((f"{prefix}{i:02d}", "u", tags))
+        rows["fa"].append(rng.integers(0, 3, size=2))
+        rows["fb"].append(rng.integers(0, 3, size=3))
+    for j, (image_id, vecs) in enumerate(shared):
+        records.append((image_id, "u", ["a", "b"]))
+        for name in rows:
+            rows[name].append(vecs[name] + (j % 2))
+    rows["fa"][1] = rows["fa"][0]  # exact duplicates in both features
+    rows["fb"][1] = rows["fb"][0]
+    records[0] = (records[0][0], "u", ["solo", "a"])  # a single-image tag
+    return make_collection(records, rows)
+
+
+def with_query(c, scored, x):
+    """Source collection with image x carrying its vectors from `scored`,
+    so knn over it sees exactly the neighbor rows a table scores x against."""
+    if scored is c:
+        return c
+    keep = [rec for rec in c.images if rec.image_id != x]
+    records = [(rec.image_id, rec.user_id, rec.tags) for rec in keep] + [(x, "u", [])]
+    rows = {
+        name: [c.vector(name, rec.image_id) for rec in keep] + [scored.vector(name, x)]
+        for name in c.features
+    }
+    return make_collection(records, rows)
+
+
+class TestVotingEngineDifferential:
+    """Both table builders bit for bit against neighbor_vote over knn."""
+
+    def test_tables_match_per_candidate_oracle_on_tie_heavy_worlds(self):
+        checked = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            source = tie_heavy_world(rng, "s", 12)
+            shared = [
+                (rec.image_id, {f: source.vector(f, rec.image_id) for f in ("fa", "fb")})
+                for rec in source.images[2:6]
+            ]
+            bench = tie_heavy_world(rng, "b", 5, shared=shared)
+            n = len(source)
+            metrics = [("fa", None), ("fb", None)]
+            for mode in ("minmax", "rankmax", "none"):
+                norms = calibrate_normalizers(source, ["fa", "fb"], mode, 500, seed)
+                metrics.append((WeightVector.uniform(["fa", "fb"]), norms))
+                metrics.append((WeightVector.normalized(["fa", "fb", "fa"], [0.5, 0.3, 0.2]), norms))
+            metrics.append((WeightVector.normalized(["fa", "fb"], [0.3, 0.7]), None))
+            for scored in (source, bench):
+                for tag in ("a", "b", "c", "solo", "absent"):
+                    for k in (1, n - 2, n - 1, n, n + 3):
+                        for metric, norms in metrics:
+                            if isinstance(metric, str):
+                                table = neighbor_vote_table(source, tag, metric, k, scored=scored)
+                            else:
+                                table = early_fused_table(source, tag, metric, norms, k, scored=scored)
+                            expected = {}
+                            for x in sorted(images_with_tag(scored, tag)):
+                                if scored is source and not isinstance(metric, str):
+                                    expected[x] = early_fused_score(source, x, tag, metric, norms, k)
+                                    continue
+                                nl = knn(with_query(source, scored, x), metric, x, k, norms)
+                                expected[x] = neighbor_vote(source, nl, tag, k)
+                            assert table.scores == expected, (seed, scored is source, tag, k, metric)
+                            checked += len(expected)
+        assert checked > 5000

@@ -271,6 +271,26 @@ class TestEvaluation:
         assert ev.per_concept["sky"] == (0.0, 0.0)
         assert ev.unjudged_tags == {"sky"}
 
+    def test_missing_concept_scores_zero_and_is_flagged(self):
+        q = Qrels()
+        q.add("easy", "x1", 1)
+        q.add("hard", "x2", 1)
+        both = run_from_tables("both", [
+            ScoreTable("e", "easy", {"x1": 0.9, "x2": 0.1}),
+            ScoreTable("e", "hard", {"x1": 0.9, "x2": 0.1}),
+        ])
+        partial = run_from_tables("partial", [ScoreTable("e", "easy", {"x1": 0.9, "x2": 0.1})])
+        assert evaluate_run(both, q).mean_ap == 0.75
+        ev = evaluate_run(partial, q)
+        assert ev.per_concept["hard"] == (0.0, 0.0)
+        assert ev.missing_tags == {"hard"} and not ev.unjudged_tags
+        assert ev.mean_ap == 0.5
+        report = render_report([both, partial], q)
+        assert "hard\t0.000000\t0.000000\t[missing]" in report
+        assert "mAP\tpartial\t0.500000" in report
+        # the paired test runs over both concepts, the missing one at 0
+        assert f"p\tAP\tboth\tpartial\t{randomization_test([1.0, 0.5], [1.0, 0.0]):.6g}" in report
+
     def test_report_contains_tables_and_pvalues(self):
         t = ScoreTable("e", "sky", {"x1": 0.9, "x2": 0.5})
         run1 = run_from_tables("alpha", [t])

@@ -6,13 +6,15 @@ from tagfusion.evalkit import Qrels, average_precision
 from tagfusion.fusion import late_fuse
 from tagfusion.learning import (
     AscentConfig,
+    LabeledPair,
     coordinate_ascent,
     learn_distance_weights,
     learn_per_concept,
+    pair_feature_distances,
     sample_pairs,
     simplex_project,
 )
-from tagfusion.neighbors import WeightVector
+from tagfusion.neighbors import DistanceNormalizer, WeightVector, l1_distance
 
 from conftest import make_collection
 
@@ -130,6 +132,36 @@ class TestSamplePairs:
         pairs = sample_pairs(q, c, 20, seed=4)
         assert len(pairs) == 20
         assert sum(p.label for p in pairs) == 1  # only one positive pair exists
+
+
+class TestPairFeatureDistances:
+    def test_matches_scalar_l1_with_minmax_clamp(self):
+        rng = np.random.default_rng(5)
+        n = 30
+        c = make_collection(
+            [(f"x{i:02d}", "u", []) for i in range(n)],
+            {"f8": rng.normal(size=(n, 8)), "f64": rng.uniform(0, 3, size=(n, 64))},
+        )
+        pairs = [
+            LabeledPair(f"x{a:02d}", f"x{b:02d}", int(rng.integers(0, 2)))
+            for a, b in rng.integers(0, n, size=(200, 2)) if a != b
+        ]
+        normalizers = {
+            "f8": DistanceNormalizer("minmax", 0.0, 10.0),
+            "f64": DistanceNormalizer("none"),
+        }
+        got = pair_feature_distances(c, pairs, ["f8", "f64"], normalizers)
+        for i, p in enumerate(pairs):
+            d8 = l1_distance(c.vector("f8", p.x), c.vector("f8", p.x_other))
+            d64 = l1_distance(c.vector("f64", p.x), c.vector("f64", p.x_other))
+            assert got[i, 0] == min(1.0, max(0.0, d8 / 10.0))
+            assert got[i, 1] == d64
+        assert 0 < (got[:, 0] == 1.0).sum() < len(pairs)  # the clamp is exercised
+
+    def test_rankmax_rejected(self):
+        c = make_collection([("a", "u", []), ("b", "u", [])], {"f": [[0.0], [1.0]]})
+        with pytest.raises(ValueError):
+            pair_feature_distances(c, [LabeledPair("a", "b", 1)], ["f"], {"f": DistanceNormalizer("rankmax")})
 
 
 class TestDistanceLearning:

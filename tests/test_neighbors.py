@@ -8,9 +8,7 @@ from tagfusion.neighbors import (
     _percentile_upper,
     calibrate_normalizer,
     combined_distance,
-    format_neighbor_dump,
     knn,
-    knn_for_vector,
     l1_distance,
     pairwise_l1,
 )
@@ -275,23 +273,6 @@ class TestKnn:
         c = line_collection([0.0, 1.0])
         with pytest.raises(ValueError):
             knn(c, "f", "x000", 0)
-
-    def test_neighbor_dump_format(self):
-        c = line_collection([0.0, 1.0, 5.0])
-        nl = knn(c, "f", "x000", 2)
-        dump = format_neighbor_dump(nl)
-        assert dump == "x000\tx001\t1.0\nx000\tx002\t5.0\n"
-
-    def test_external_query_vector(self):
-        c = line_collection([0.0, 1.0, 5.0])
-        nl = knn_for_vector(c, "f", np.array([4.0]), 2, query_label="probe")
-        assert nl.query_id == "probe"
-        assert nl.ids() == ("x002", "x001")
-
-    def test_external_query_excludes_matching_source_id(self):
-        c = line_collection([0.0, 1.0, 5.0])
-        nl = knn_for_vector(c, "f", np.array([0.0]), 5, exclude_id="x000")
-        assert "x000" not in nl.ids()
 
     def test_pair_distance_agrees_with_knn_entries(self):
         rng = np.random.default_rng(11)
