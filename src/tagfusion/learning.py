@@ -48,15 +48,59 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _labels_by_image(qrels: Qrels, c: Collection) -> dict[str, frozenset[str]]:
-    labels: dict[str, set[str]] = {}
-    for tag in qrels.tags():
-        for image_id, rel in qrels.judgments[tag].items():
-            if image_id in c:
-                labels.setdefault(image_id, set())
-                if rel == 1:
-                    labels[image_id].add(tag)
-    return {i: frozenset(t) for i, t in labels.items()}
+_ENUMERATE_LIMIT = 5_000_000  # pairs listed in memory; beyond, negatives are drawn
+
+
+def _label_matrix(qrels: Qrels, c: Collection) -> tuple[list[str], np.ndarray]:
+    """Judged images of `c` in id order, and their (images x concepts) relevance."""
+    tags = qrels.tags()
+    universe = sorted({i for t in tags for i in qrels.judgments[t] if i in c})
+    row = {image_id: k for k, image_id in enumerate(universe)}
+    labels = np.zeros((len(universe), len(tags)), dtype=bool)
+    for j, t in enumerate(tags):
+        rows = [row[i] for i, rel in qrels.judgments[t].items() if rel == 1 and i in row]
+        labels[rows, j] = True
+    return universe, labels
+
+
+def _positive_codes(labels: np.ndarray) -> np.ndarray | None:
+    """Sorted codes a * n + b (a < b) of the pairs sharing a concept, or None
+    when the concepts hold more than _ENUMERATE_LIMIT pairs between them."""
+    n = len(labels)
+    members = [np.flatnonzero(col) for col in labels.T]
+    if sum(len(m) * (len(m) - 1) // 2 for m in members) > _ENUMERATE_LIMIT:
+        return None
+    codes = [np.empty(0, dtype=np.intp)]
+    for m in members:
+        a, b = np.triu_indices(len(m), 1)
+        codes.append(m[a] * n + m[b])
+    return np.unique(np.concatenate(codes))
+
+
+def _draw_pairs(
+    rng: np.random.Generator, labels: np.ndarray, want: int, positive: bool
+) -> np.ndarray:
+    """Sorted codes of up to `want` distinct pairs of one class, drawn
+    uniformly by rejection within a budget of 200 draws per wanted pair."""
+    n = len(labels)
+    bits = np.packbits(labels, axis=1)
+    got = np.empty(0, dtype=np.intp)
+    budget = 200 * want
+    while len(got) < want and budget > 0:
+        size = min(budget, 1 << 16)
+        budget -= size
+        a, b = rng.integers(0, n, size=(2, size))
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        keep = (a != b) & ((bits[a] & bits[b]).any(axis=1) == positive)
+        got = np.concatenate([got, a[keep] * n + b[keep]])
+        _, first = np.unique(got, return_index=True)
+        got = got[np.sort(first)]  # distinct codes in draw order
+    return np.sort(got[:want])
+
+
+def _labeled(universe: list[str], codes: np.ndarray, label: int) -> list[LabeledPair]:
+    a, b = np.divmod(codes, len(universe))
+    return [LabeledPair(universe[i], universe[j], label) for i, j in zip(a.tolist(), b.tolist())]
 
 
 def sample_pairs(
@@ -64,71 +108,54 @@ def sample_pairs(
 ) -> list[LabeledPair]:
     """Seeded sample of labeled pairs, balanced 50/50 where possible.
 
-    Falls back to natural proportions when one class is scarce; never emits
-    a duplicate unordered pair. Raises if either class has no pairs at all.
+    Pairs (a, b) of judged images, a < b by id, are positive iff they share a
+    concept. Up to 5M pairs, both classes are listed in lexicographic order
+    and each is sampled without replacement; a scarce class contributes all
+    its pairs and the other tops the sample up to `n_pairs`. Beyond that,
+    positives are still listed when the concepts hold at most 5M pairs, and
+    negatives are drawn by rejection (otherwise both classes are). Output holds
+    positives, then negatives, each in lexicographic order, and never a
+    duplicate unordered pair. Raises if either class has no pairs at all.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    labels = _labels_by_image(qrels, c)
-    universe = sorted(labels)
+    universe, labels = _label_matrix(qrels, c)
     n = len(universe)
     if n < 2:
         raise ValueError("need at least 2 judged training images")
     rng = np.random.default_rng(seed)
 
     total_pairs = n * (n - 1) // 2
-    if total_pairs <= 5_000_000:
-        pos: list[tuple[str, str]] = []
-        neg: list[tuple[str, str]] = []
-        for a in range(n):
-            la = labels[universe[a]]
-            for b in range(a + 1, n):
-                if la & labels[universe[b]]:
-                    pos.append((universe[a], universe[b]))
-                else:
-                    neg.append((universe[a], universe[b]))
-        if not pos:
+    neg: np.ndarray | None = None
+    if total_pairs <= _ENUMERATE_LIMIT:
+        counts = labels.astype(np.float32)  # shared-concept counts are exact
+        shared = (counts @ counts.T) > 0
+        upper = ~np.tri(n, dtype=bool)
+        pos = np.flatnonzero(shared & upper)  # row-major = lexicographic (a, b)
+        neg = np.flatnonzero(upper & ~shared)
+    else:
+        pos = _positive_codes(labels)
+    if pos is None:  # too many positive pairs to list: draw both classes
+        want_neg = n_pairs - n_pairs // 2
+        pos = _draw_pairs(rng, labels, n_pairs // 2, positive=True)
+    else:
+        n_neg = total_pairs - len(pos)
+        if not len(pos):
             raise ValueError("no positive pairs available")
-        if not neg:
+        if not n_neg:
             raise ValueError("no negative pairs available")
         want_pos = min(n_pairs // 2, len(pos))
-        want_neg = min(n_pairs - want_pos, len(neg))
+        want_neg = min(n_pairs - want_pos, n_neg)
         if want_neg < n_pairs - want_pos:  # negatives scarce: top up with positives
             want_pos = min(n_pairs - want_neg, len(pos))
-        pos_idx = rng.permutation(len(pos))[:want_pos]
-        neg_idx = rng.permutation(len(neg))[:want_neg]
-        out = [LabeledPair(a, b, 1) for a, b in (pos[i] for i in sorted(pos_idx))]
-        out += [LabeledPair(a, b, 0) for a, b in (neg[i] for i in sorted(neg_idx))]
-        return out
-
-    # large universe: rejection sampling with an attempt budget
-    want_pos = n_pairs // 2
-    want_neg = n_pairs - want_pos
-    got_pos: dict[tuple[str, str], None] = {}
-    got_neg: dict[tuple[str, str], None] = {}
-    budget = 200 * n_pairs
-    while budget > 0 and (len(got_pos) < want_pos or len(got_neg) < want_neg):
-        budget -= 1
-        a, b = rng.integers(0, n, size=2)
-        if a == b:
-            continue
-        if a > b:
-            a, b = b, a
-        key = (universe[a], universe[b])
-        positive = bool(labels[key[0]] & labels[key[1]])
-        bucket = got_pos if positive else got_neg
-        want = want_pos if positive else want_neg
-        if len(bucket) < want and key not in bucket:
-            bucket[key] = None
-    if not got_pos and not any(
-        sum(1 for i in qrels.judgments[t].values() if i == 1) >= 2 for t in qrels.tags()
-    ):
-        raise ValueError("no positive pairs available")
-    if not got_neg:
-        raise ValueError("no negative pairs found within the sampling budget")
-    out = [LabeledPair(a, b, 1) for a, b in got_pos]
-    out += [LabeledPair(a, b, 0) for a, b in got_neg]
-    return out
+        pos = pos[np.sort(rng.permutation(len(pos))[:want_pos])]
+    if neg is None:
+        neg = _draw_pairs(rng, labels, want_neg, positive=False)
+        if not len(neg):
+            raise ValueError("no negative pairs found within the sampling budget")
+    else:
+        neg = neg[np.sort(rng.permutation(len(neg))[:want_neg])]
+    return _labeled(universe, pos, 1) + _labeled(universe, neg, 0)
 
 
 def pair_feature_distances(

@@ -1,7 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tagfusion.collection import Collection, FeatureMatrix, ImageRecord
+
+# Hypothesis caches the constants it reads from local modules in its storage
+# directory, which defaults to `.hypothesis/` in the working directory; keep
+# it with pytest's own cache instead.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY",
+    str(Path(__file__).resolve().parent.parent / ".pytest_cache" / "hypothesis"),
+)
 
 
 def make_collection(records, features=None):

@@ -1,0 +1,244 @@
+"""`sample_pairs` against the list-based sampler it replaced, and its
+rejection branch for universes above the enumeration limit."""
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import tagfusion.learning as learning
+from tagfusion.collection import SyntheticConfig, SyntheticFeature, generate_collection
+from tagfusion.evalkit import Qrels
+from tagfusion.learning import (
+    GradientConfig,
+    LabeledPair,
+    learn_distance_weights_per_concept,
+    sample_pairs,
+)
+
+from conftest import make_collection
+
+
+def list_sample_pairs(qrels, c, n_pairs, seed=0):
+    """Reference: every pair listed in Python, lexicographic by image id."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+    labels = {}
+    for tag in qrels.tags():
+        for image_id, rel in qrels.judgments[tag].items():
+            if image_id in c:
+                labels.setdefault(image_id, set())
+                if rel == 1:
+                    labels[image_id].add(tag)
+    universe = sorted(labels)
+    n = len(universe)
+    if n < 2:
+        raise ValueError("need at least 2 judged training images")
+    assert n * (n - 1) // 2 <= 5_000_000, "the reference lists every pair"
+    rng = np.random.default_rng(seed)
+    pos, neg = [], []
+    for a in range(n):
+        la = labels[universe[a]]
+        for b in range(a + 1, n):
+            if la & labels[universe[b]]:
+                pos.append((universe[a], universe[b]))
+            else:
+                neg.append((universe[a], universe[b]))
+    if not pos:
+        raise ValueError("no positive pairs available")
+    if not neg:
+        raise ValueError("no negative pairs available")
+    want_pos = min(n_pairs // 2, len(pos))
+    want_neg = min(n_pairs - want_pos, len(neg))
+    if want_neg < n_pairs - want_pos:
+        want_pos = min(n_pairs - want_neg, len(pos))
+    pos_idx = rng.permutation(len(pos))[:want_pos]
+    neg_idx = rng.permutation(len(neg))[:want_neg]
+    out = [LabeledPair(a, b, 1) for a, b in (pos[i] for i in sorted(pos_idx))]
+    out += [LabeledPair(a, b, 0) for a, b in (neg[i] for i in sorted(neg_idx))]
+    return out
+
+
+def outcome(sampler, qrels, c, n_pairs, seed):
+    try:
+        return sampler(qrels, c, n_pairs, seed)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def assert_matches_reference(qrels, c, n_pairs, seed):
+    got = outcome(sample_pairs, qrels, c, n_pairs, seed)
+    assert got == outcome(list_sample_pairs, qrels, c, n_pairs, seed)
+    return got
+
+
+def build(world):
+    """world = (ids in the collection, {tag: {image_id: rel}})."""
+    ids, judgments = world
+    c = make_collection([(i, "u", []) for i in ids])
+    return c, Qrels(judgments={t: dict(j) for t, j in judgments.items()})
+
+
+def concept_view(qrels, c, tag):
+    """The one-concept qrels `learn_distance_weights_per_concept` samples from."""
+    judged = sorted({i for t in qrels.tags() for i in qrels.judgments[t] if i in c})
+    relevant = qrels.relevant(tag)
+    return Qrels(judgments={tag: {i: 1 if i in relevant else 0 for i in judged}})
+
+
+@st.composite
+def label_worlds(draw):
+    numbers = draw(st.lists(st.integers(0, 120), min_size=2, max_size=30, unique=True))
+    ids = [f"x{v}" for v in numbers]  # string order differs from numeric order
+    in_c = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=len(ids), max_size=len(ids)))
+    tags = [f"c{k}" for k in range(draw(st.integers(1, 4)))]
+    rel = st.sampled_from([None, 0, 0, 1, 1])
+    judgments = {}
+    for t in tags:
+        marks = draw(st.lists(rel, min_size=len(ids), max_size=len(ids)))
+        judgments[t] = {i: r for i, r in zip(ids, marks) if r is not None}
+    world = ([i for i, keep in zip(ids, in_c) if keep or len(ids) == 2], judgments)
+    if draw(st.booleans()):
+        c, q = build(world)
+        view = concept_view(q, c, draw(st.sampled_from(tags)))
+        world = (world[0], view.judgments)
+    return world
+
+
+MULTI_LABEL = (
+    ["a", "b", "c", "d", "e", "f"],
+    {"c1": {"a": 1, "b": 1, "c": 1}, "c2": {"c": 1, "d": 1, "a": 0}, "c3": {"e": 1, "f": 0}},
+)
+ONLY_ZERO = (
+    ["a", "b", "c", "d", "e"],
+    {"c1": {"a": 1, "b": 1, "c": 0}, "c2": {"d": 0, "e": 0, "c": 0}},
+)
+MISSING_FROM_C = (
+    ["a", "c", "e", "g"],
+    {"c1": {"a": 1, "b": 1, "c": 1, "d": 1}, "c2": {"e": 1, "f": 1, "g": 0, "h": 1}},
+)
+SCARCE_POSITIVES = (
+    [f"x{i}" for i in range(10)],
+    {"c1": {"x0": 1, "x1": 1}, **{f"z{i}": {f"x{i}": 1} for i in range(2, 10)}},
+)
+SCARCE_NEGATIVES = (
+    [f"x{i}" for i in range(7)],
+    {"c1": {**{f"x{i}": 1 for i in range(6)}, "x6": 0}},
+)
+TWO_POSITIVE = (["a", "b"], {"c1": {"a": 1, "b": 1}})
+TWO_NEGATIVE = (["a", "b"], {"c1": {"a": 1, "b": 0}})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(world=label_worlds(), n_pairs=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+@example(world=MULTI_LABEL, n_pairs=8, seed=0)
+@example(world=ONLY_ZERO, n_pairs=6, seed=1)
+@example(world=MISSING_FROM_C, n_pairs=4, seed=2)
+@example(world=SCARCE_POSITIVES, n_pairs=20, seed=4)  # one positive pair exists
+@example(world=SCARCE_NEGATIVES, n_pairs=14, seed=5)  # 6 negatives; positives top up
+@example(world=SCARCE_NEGATIVES, n_pairs=21, seed=6)  # n_pairs = every pair
+@example(world=MULTI_LABEL, n_pairs=40, seed=7)  # n_pairs > every pair
+@example(world=TWO_POSITIVE, n_pairs=1, seed=8)
+@example(world=TWO_NEGATIVE, n_pairs=1, seed=9)
+@example(world=(["a", "b", "c"], {"c1": {"a": 1, "b": 1, "c": 1}, "c2": {"b": 0}}), n_pairs=2, seed=0)
+def test_matches_list_reference(world, n_pairs, seed):
+    c, q = build(world)
+    assert_matches_reference(q, c, n_pairs, seed)
+
+
+def test_named_cases_take_the_intended_branches():
+    c, q = build(SCARCE_NEGATIVES)
+    got = assert_matches_reference(q, c, 14, 5)
+    assert [p.label for p in got].count(0) == 6 and len(got) == 14
+    c, q = build(SCARCE_POSITIVES)
+    assert [p.label for p in assert_matches_reference(q, c, 20, 4)].count(1) == 1
+    c, q = build(TWO_NEGATIVE)
+    assert assert_matches_reference(q, c, 1, 9) == "ValueError: no positive pairs available"
+
+
+def test_per_concept_views_match_reference(monkeypatch):
+    """Every pair sample that per-concept metric learning draws on a seeded world."""
+    cfg = SyntheticConfig(
+        n_images=300, n_tags=8, n_users=5,
+        features=(SyntheticFeature("visa", 4), SyntheticFeature("visb", 4)),
+        q_correct=0.9, q_incorrect=0.05, seed=3,
+    )
+    c, truth = generate_collection(cfg)
+    q = Qrels.from_ground_truth(truth)
+    for k, rec in enumerate(c.images[:40]):  # images judged only 0
+        q.add(f"zero{k % 3}", rec.image_id, 0)
+    calls = []
+
+    def checked(qrels, coll, n_pairs, seed=0):
+        calls.append(assert_matches_reference(qrels, coll, n_pairs, seed))
+        return sample_pairs(qrels, coll, n_pairs, seed)
+
+    monkeypatch.setattr(learning, "sample_pairs", checked)
+    result = learn_distance_weights_per_concept(
+        c, q, ["visa", "visb"], None, n_pairs=400, seed=11,
+        config=GradientConfig(max_iter=2),
+    )
+    assert len(calls) == 1 + len(q.tags()) - len(result.fallbacks)
+    assert sum(isinstance(r, list) for r in calls) > len(truth) // 2
+
+
+# ---------------------------------------------------------------------------
+# above the enumeration limit: 3200 judged images hold 5,118,400 pairs
+# ---------------------------------------------------------------------------
+
+N_LARGE = 3200
+
+
+def large_world(groups):
+    """Featureless collection; groups = {tag: range of relevant image numbers},
+    every other image judged 0 for the first tag."""
+    ids = [f"i{v:04d}" for v in range(N_LARGE)]
+    c = make_collection([(i, "u", []) for i in ids])
+    q = Qrels()
+    first = next(iter(groups))
+    for i in ids:
+        q.add(first, i, 0)
+    for tag, members in groups.items():
+        for v in members:
+            q.add(tag, ids[v], 1)
+    return c, q
+
+
+def check_sample(pairs, q):
+    concepts = {}
+    for t in q.tags():
+        for i in q.relevant(t):
+            concepts.setdefault(i, set()).add(t)
+    for p in pairs:
+        assert p.x < p.x_other
+        assert p.label == int(bool(concepts.get(p.x, set()) & concepts.get(p.x_other, set())))
+    assert len({(p.x, p.x_other) for p in pairs}) == len(pairs)
+
+
+LISTED = {"c0": range(0, 40), "c1": range(30, 90), "c2": range(2000, 2500)}  # 127,255 positive pairs
+DRAWN = {"c0": range(0, 3180), "c1": range(3180, 3200)}  # 5,054,800: too many to list
+
+
+def test_scarce_positives_above_limit_stay_balanced():
+    c, q = large_world({"c0": range(40)})  # 780 positive pairs
+    pairs = sample_pairs(q, c, 1000, seed=0)
+    assert [p.label for p in pairs] == [1] * 500 + [0] * 500
+    check_sample(pairs, q)
+
+
+@pytest.mark.parametrize("groups", [LISTED, DRAWN], ids=["positives-listed", "positives-drawn"])
+def test_sample_above_limit(groups):
+    c, q = large_world(groups)
+    pairs = sample_pairs(q, c, 600, seed=1)
+    assert [p.label for p in pairs] == [1] * 300 + [0] * 300
+    check_sample(pairs, q)
+    for label in (0, 1):
+        keys = [(p.x, p.x_other) for p in pairs if p.label == label]
+        assert keys == sorted(keys)
+    assert sample_pairs(q, c, 600, seed=1) == pairs
+    assert sample_pairs(q, c, 600, seed=2) != pairs
+
+
+def test_no_negatives_above_limit_raises():
+    c, q = large_world({"c0": range(N_LARGE)})
+    with pytest.raises(ValueError, match="negative"):
+        sample_pairs(q, c, 10, seed=0)
