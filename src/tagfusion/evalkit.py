@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,36 +24,47 @@ class EvalFormatError(ValueError):
     """Malformed run or qrels file."""
 
 
+def rank_metric(flags: np.ndarray, metric: str, cutoff: int = 100) -> float:
+    """AP ("ap") or binary-gain NDCG@cutoff ("ndcg") of boolean relevance
+    flags in rank order.
+
+    The one implementation behind evaluation and coordinate ascent. Both
+    metrics are 0 when no flag is set; `cutoff` applies to NDCG only.
+    """
+    if metric == "ndcg":
+        if cutoff < 1:
+            raise ValueError("cutoff must be >= 1")
+    elif metric != "ap":
+        raise ValueError(f"unknown metric {metric!r}")
+    n_rel = int(np.count_nonzero(flags))
+    if n_rel == 0:
+        return 0.0
+    if metric == "ap":
+        hits = np.cumsum(flags)
+        positions = np.arange(1, len(flags) + 1)
+        return float((hits[flags] / positions[flags]).sum() / n_rel)
+    top = flags[:cutoff]
+    dcg = float((top * (1.0 / np.log2(np.arange(2, len(top) + 2)))).sum())
+    idcg = float((1.0 / np.log2(np.arange(2, min(n_rel, cutoff) + 2))).sum())
+    return dcg / idcg
+
+
+def _flags(ranking: Sequence[str], relevant: AbstractSet[str]) -> np.ndarray:
+    return np.array([item in relevant for item in ranking], dtype=bool)
+
+
 def average_precision(ranking: Sequence[str], relevant: AbstractSet[str]) -> float:
     """Mean precision at the relevant positions; 0 if nothing relevant ranked.
 
     R counts only relevant items inside the ranked candidate set, so
     judgments for images outside the candidate set do not dilute the score.
     """
-    hits = 0
-    total = 0.0
-    for pos, item in enumerate(ranking, start=1):
-        if item in relevant:
-            hits += 1
-            total += hits / pos
-    if hits == 0:
-        return 0.0
-    return total / hits
+    return rank_metric(_flags(ranking, relevant), "ap")
 
 
 def ndcg_at(ranking: Sequence[str], relevant: AbstractSet[str], cutoff: int = 100) -> float:
     """Binary-gain NDCG at `cutoff`: DCG / ideal DCG; 0 when nothing relevant."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    dcg = 0.0
-    for pos, item in enumerate(ranking[:cutoff], start=1):
-        if item in relevant:
-            dcg += 1.0 / math.log2(pos + 1)
-    n_rel = sum(1 for item in ranking if item in relevant)
-    if n_rel == 0:
-        return 0.0
-    idcg = sum(1.0 / math.log2(pos + 1) for pos in range(1, min(n_rel, cutoff) + 1))
-    return dcg / idcg
+    return rank_metric(_flags(ranking, relevant), "ndcg", cutoff)
 
 
 def mean_over_concepts(values: Mapping[str, float] | Iterable[float]) -> float:
@@ -63,43 +74,32 @@ def mean_over_concepts(values: Mapping[str, float] | Iterable[float]) -> float:
     return sum(seq) / len(seq)
 
 
-def _flip_sums(signs: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    # row-wise np.sum (not BLAS matmul) so the identity flip reproduces the
-    # observed statistic bitwise and mathematically tied flips count as ties
-    return np.sum(signs * diffs, axis=1)
-
-
-def _flip_count_exact(diffs: np.ndarray) -> tuple[int, int]:
-    """(#flips with |mean| >= observed, total flips) over all 2^n sign vectors."""
-    n = len(diffs)
+def _flip_count(diffs: np.ndarray, sign_blocks: Iterable[np.ndarray]) -> int:
+    """Number of sign rows whose |flipped sum| reaches the observed |sum|."""
     observed = abs(float(np.sum(diffs)))  # compare sums; the 1/n factor cancels
-    total = 1 << n
     count = 0
-    chunk = 1 << 16
-    codes = np.arange(total, dtype=np.uint64)
+    for signs in sign_blocks:
+        # row-wise np.sum (not BLAS matmul) so the identity flip reproduces the
+        # observed statistic bitwise and mathematically tied flips count as ties
+        sums = np.sum(signs * diffs, axis=1)
+        count += int((np.abs(sums) >= observed).sum())
+    return count
+
+
+def _exact_signs(n: int) -> Iterator[np.ndarray]:
+    """All 2^n sign vectors, 2^16 rows at a time; bit j of the row code flips j."""
+    codes = np.arange(1 << n, dtype=np.uint64)
     bits = 1 << np.arange(n, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        block = codes[start : start + chunk]
-        signs = np.where((block[:, None] & bits[None, :]) != 0, -1.0, 1.0)
-        sums = _flip_sums(signs, diffs)
-        count += int((np.abs(sums) >= observed).sum())
-    return count, total
+    for start in range(0, len(codes), 1 << 16):
+        block = codes[start : start + (1 << 16)]
+        yield np.where((block[:, None] & bits[None, :]) != 0, -1.0, 1.0)
 
 
-def _flip_count_monte_carlo(diffs: np.ndarray, n_perm: int, seed: int) -> tuple[int, int]:
+def _random_signs(n: int, n_perm: int, seed: int) -> Iterator[np.ndarray]:
+    """`n_perm` seeded uniform sign vectors, 2^14 rows at a time."""
     rng = np.random.default_rng(seed)
-    observed = abs(float(np.sum(diffs)))
-    count = 0
-    chunk = 1 << 14
-    remaining = n_perm
-    while remaining > 0:
-        size = min(chunk, remaining)
-        signs = rng.choice((-1.0, 1.0), size=(size, len(diffs)))
-        sums = _flip_sums(signs, diffs)
-        count += int((np.abs(sums) >= observed).sum())
-        remaining -= size
-    # add-one: the observed labeling counts as one permutation, so p > 0
-    return count + 1, n_perm + 1
+    for start in range(0, n_perm, 1 << 14):
+        yield rng.choice((-1.0, 1.0), size=(min(1 << 14, n_perm - start), n))
 
 
 def randomization_test(
@@ -124,11 +124,11 @@ def randomization_test(
     if method not in ("auto", "exact", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
     diffs = np.asarray(scores_a, dtype=np.float64) - np.asarray(scores_b, dtype=np.float64)
-    if method == "exact" or (method == "auto" and len(diffs) <= EXACT_FLIP_LIMIT):
-        count, total = _flip_count_exact(diffs)
-    else:
-        count, total = _flip_count_monte_carlo(diffs, n_perm, seed)
-    return count / total
+    n = len(diffs)
+    if method == "exact" or (method == "auto" and n <= EXACT_FLIP_LIMIT):
+        return _flip_count(diffs, _exact_signs(n)) / (1 << n)
+    # add-one: the observed labeling counts as one permutation, so p > 0
+    return (_flip_count(diffs, _random_signs(n, n_perm, seed)) + 1) / (n_perm + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,8 @@ def read_run(path: str | Path) -> RunFile:
             score = float(score_s)
         except ValueError:
             raise EvalFormatError(f"{path}:{no}: bad rank or score") from None
+        if not math.isfinite(score):
+            raise EvalFormatError(f"{path}:{no}: non-finite score {score_s!r}")
         entries = rankings.setdefault(tag, [])
         if rank != len(entries) + 1:
             raise EvalFormatError(
@@ -300,12 +302,8 @@ def evaluate_run(run: RunFile, qrels: Qrels, cutoff: int = 100) -> RunEvaluation
         if tag not in run.rankings:
             per_concept[tag] = (0.0, 0.0)
             continue
-        relevant = qrels.relevant(tag)
-        ranking = run.ranking(tag)
-        per_concept[tag] = (
-            average_precision(ranking, relevant),
-            ndcg_at(ranking, relevant, cutoff=cutoff),
-        )
+        flags = _flags(run.ranking(tag), qrels.relevant(tag))
+        per_concept[tag] = (rank_metric(flags, "ap"), rank_metric(flags, "ndcg", cutoff))
     return RunEvaluation(
         run_id=run.run_id,
         per_concept=per_concept,

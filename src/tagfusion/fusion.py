@@ -11,6 +11,7 @@ that equivalence.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -164,6 +165,16 @@ def borda_rank(tables: Sequence[ScoreTable]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _parse_weight(text: str, path: Path, no: int) -> float:
+    try:
+        w = float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{no}: bad weight {text!r}") from None
+    if not math.isfinite(w) or w < 0:
+        raise ValueError(f"{path}:{no}: weight must be finite and nonnegative, got {text!r}")
+    return w
+
+
 def write_weights(path: str | Path, wv: WeightVector) -> None:
     with open(Path(path), "w", encoding="utf-8") as fh:
         fh.write("# global\n")
@@ -183,10 +194,7 @@ def read_weights(path: str | Path) -> WeightVector:
         if len(parts) != 2:
             raise ValueError(f"{path}:{no}: expected 'name<TAB>weight'")
         names.append(parts[0])
-        try:
-            weights.append(float(parts[1]))
-        except ValueError:
-            raise ValueError(f"{path}:{no}: bad weight {parts[1]!r}") from None
+        weights.append(_parse_weight(parts[1], path, no))
     if not names:
         raise ValueError(f"{path}: no weights found")
     return WeightVector.normalized(names, weights)
@@ -225,10 +233,7 @@ def read_concept_weights(path: str | Path) -> tuple[dict[str, WeightVector], fro
         tag, name, w = parts
         names, weights = raw.setdefault(tag, ([], []))
         names.append(name)
-        try:
-            weights.append(float(w))
-        except ValueError:
-            raise ValueError(f"{path}:{no}: bad weight {w!r}") from None
+        weights.append(_parse_weight(w, path, no))
     if not raw:
         raise ValueError(f"{path}: no weights found")
     return (

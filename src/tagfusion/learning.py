@@ -3,11 +3,12 @@
 Early fusion weights come from distance metric learning: minimize the squared
 gap between exp(-combined distance) and the pair label (1 = images share a
 concept) by projected gradient descent on the simplex. Late fusion weights
-come from coordinate ascent directly maximizing a rank metric (AP or NDCG)
-of the fused ranking, with a bidirectional growing-step line search per
-coordinate. Both learners are deterministic given their seeds and record a
-monotone objective trace. Per-concept variants retrain for each tag and fall
-back to the global weights when a tag has too few relevant training items.
+come from coordinate ascent on a rank metric (AP or NDCG) of a float
+approximation of the fused ranking, with a bidirectional growing-step line
+search per coordinate. Both learners are deterministic given their seeds
+and record a monotone objective trace. Per-concept variants retrain for each
+tag and fall back to the global weights when a tag has too few relevant
+training items.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .collection import Collection
 from .estimators import ScoreTable
-from .evalkit import Qrels
+from .evalkit import Qrels, rank_metric
 from .neighbors import DistanceNormalizer, WeightVector
 
 
@@ -295,6 +296,8 @@ class AscentConfig:
             raise ValueError("growth must exceed 1")
         if self.max_sweeps < 1 or self.restarts < 1:
             raise ValueError("max_sweeps and restarts must be >= 1")
+        if self.cutoff < 1:
+            raise ValueError("cutoff must be >= 1")
 
 
 AscentMove = tuple[int, str, float, float]  # sweep, coordinate, new_weight, objective
@@ -317,26 +320,11 @@ class _ConceptEval:
             [[t.scores[x] for t in tables] for x in ids], dtype=np.float64
         )
         self.rel = np.array([x in relevant for x in ids], dtype=bool)
-        self.n_rel = int(self.rel.sum())
 
     def metric(self, w_norm: np.ndarray, metric: str, cutoff: int) -> float:
         fused = self.matrix @ w_norm
-        order = np.lexsort((np.arange(len(fused)), -fused))
-        rel_sorted = self.rel[order]
-        if metric == "ap":
-            hits = np.cumsum(rel_sorted)
-            positions = np.arange(1, len(rel_sorted) + 1)
-            if self.n_rel == 0:
-                return 0.0
-            return float((hits[rel_sorted] / positions[rel_sorted]).sum() / self.n_rel)
-        top = rel_sorted[:cutoff]
-        discounts = 1.0 / np.log2(np.arange(2, len(top) + 2))
-        dcg = float((top * discounts).sum())
-        n_ideal = min(self.n_rel, cutoff)
-        if n_ideal == 0:
-            return 0.0
-        idcg = float((1.0 / np.log2(np.arange(2, n_ideal + 2))).sum())
-        return dcg / idcg
+        order = np.argsort(-fused, kind="stable")  # ties by id: rows are id-sorted
+        return rank_metric(self.rel[order], metric, cutoff)
 
 
 def _build_concept_evals(
@@ -354,7 +342,7 @@ def _build_concept_evals(
                 f"estimator sequence for {tag!r} differs: {tag_names} vs {names}"
             )
         ce = _ConceptEval(tables, qrels.relevant(tag))
-        if ce.n_rel > 0:  # metric undefined without relevant candidates
+        if ce.rel.any():  # metric undefined without relevant candidates
             evals.append(ce)
     if names is None:
         raise ValueError("no concepts to train on")
@@ -368,7 +356,11 @@ def coordinate_ascent(
     qrels: Qrels,
     cfg: AscentConfig = AscentConfig(),
 ) -> AscentResult:
-    """Maximize the mean rank metric of the fused ranking over the weights.
+    """Maximize the mean rank metric of a float fused ranking over the weights.
+
+    Candidates are ranked by the float product `matrix @ w` (ties by id),
+    not by `late_fuse`'s exactly rounded rational sums, so near ties can
+    order differently and the objective can differ from the scored run's.
 
     Cycles the coordinates; each tries values w_i +- delta0 * growth^j
     (j = 0..steps, clamped at 0) and accepts the best if it improves the

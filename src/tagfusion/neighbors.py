@@ -8,6 +8,7 @@ or rank-normalized as the fraction of images strictly closer to the query.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -41,6 +42,8 @@ class WeightVector:
             raise ValueError("names and weights must have equal length")
         if not self.names:
             raise ValueError("empty weight vector")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("weights must be finite")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > SIMPLEX_ATOL:
@@ -66,9 +69,6 @@ class WeightVector:
         if hot not in names:
             raise ValueError(f"{hot!r} not among {tuple(names)}")
         return WeightVector(tuple(names), tuple(1.0 if n == hot else 0.0 for n in names))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.weights, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,17 @@ class EstimatorContext:
             return unit_bounds()
         return observed_bounds(table)  # KDE has no closed-form range
 
+    def normalized_tables(self, tag: str, norm: str) -> list[ScoreTable]:
+        """The configured estimators' tables for `tag`, MinMax- or RankMax-normalized."""
+        tables: list[ScoreTable] = []
+        for spec in self.settings.estimators:
+            base = self.base_table(spec, tag)
+            if norm == "minmax":
+                tables.append(minmax_normalize(base, self.minmax_bounds(spec, tag, base)))
+            else:
+                tables.append(rankmax_normalize(base))
+        return tables
+
 
 def _weights_for(
     settings: ScoreSettings,
@@ -200,19 +211,9 @@ def build_training_tables(
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
     ctx = EstimatorContext(c, settings)
-    out: dict[str, list[ScoreTable]] = {}
-    for tag in concepts:
-        if not images_with_tag(c, tag):
-            continue
-        tables: list[ScoreTable] = []
-        for spec in settings.estimators:
-            base = ctx.base_table(spec, tag)
-            if norm == "minmax":
-                tables.append(minmax_normalize(base, ctx.minmax_bounds(spec, tag, base)))
-            else:
-                tables.append(rankmax_normalize(base))
-        out[tag] = tables
-    return out
+    return {
+        tag: ctx.normalized_tables(tag, norm) for tag in concepts if images_with_tag(c, tag)
+    }
 
 
 def score_preset(
@@ -226,19 +227,14 @@ def score_preset(
     tags = _query_tags(c, settings)
     ctx = EstimatorContext(c, settings)
 
-    if preset.startswith("tagrel-"):
-        feature = preset[len("tagrel-") :]
-        if feature not in c.features:
-            raise ValueError(f"unknown feature {feature!r} in preset {preset!r}")
-        tables = [ctx.base_table(f"tagrel:{feature}", t) for t in tags]
-        return run_from_tables(run_id, tables)
-    if preset == "tagposition":
-        return run_from_tables(run_id, [ctx.base_table("tagposition", t) for t in tags])
-    if preset == "semanticfield":
-        return run_from_tables(run_id, [ctx.base_table("semanticfield", t) for t in tags])
-    if preset == "tagranking":
-        spec = f"tagranking:{settings.kde_feature}"
-        return run_from_tables(run_id, [ctx.base_table(spec, t) for t in tags])
+    single = {f"tagrel-{f}": f"tagrel:{f}" for f in c.features}
+    single.update(
+        tagposition="tagposition",
+        semanticfield="semanticfield",
+        tagranking=f"tagranking:{settings.kde_feature}",
+    )
+    if preset in single:
+        return run_from_tables(run_id, [ctx.base_table(single[preset], t) for t in tags])
 
     parts = preset.split("-")
     if len(parts) != 3 or parts[0] not in SCHEMES or parts[1] not in NORMS or parts[2] not in WEIGHTINGS:
@@ -262,15 +258,6 @@ def score_preset(
     # late fusion over the configured estimators
     fused_tables = []
     for t in tags:
-        base = [(spec, ctx.base_table(spec, t)) for spec in settings.estimators]
-        if norm == "minmax":
-            normalized = [
-                minmax_normalize(table, ctx.minmax_bounds(spec, t, table))
-                for spec, table in base
-            ]
-        else:
-            normalized = [rankmax_normalize(table) for _, table in base]
-        names = tuple(spec for spec, _ in base)
-        wv = _weights_for(settings, weighting, names, tag=t)
-        fused_tables.append(late_fuse(normalized, wv, name=preset))
+        wv = _weights_for(settings, weighting, settings.estimators, tag=t)
+        fused_tables.append(late_fuse(ctx.normalized_tables(t, norm), wv, name=preset))
     return run_from_tables(run_id, fused_tables)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tagfusion.estimators import ScoreTable
 from tagfusion.evalkit import (
@@ -13,6 +15,7 @@ from tagfusion.evalkit import (
     mean_over_concepts,
     ndcg_at,
     randomization_test,
+    rank_metric,
     read_qrels,
     read_run,
     render_report,
@@ -80,6 +83,32 @@ class TestNdcg:
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
             ndcg_at(["a"], {"a"}, cutoff=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(flags=st.lists(st.booleans(), max_size=300), cutoff=st.integers(1, 320))
+@example(flags=[], cutoff=1)
+@example(flags=[False] * 7, cutoff=3)  # no relevant item
+@example(flags=[True] * 7, cutoff=3)  # all relevant
+@example(flags=[True], cutoff=1)  # n = 1
+@example(flags=[False], cutoff=1)
+@example(flags=[False, True, False, True], cutoff=1)  # cutoff 1
+@example(flags=[False, True, False, True], cutoff=9)  # cutoff > n
+def test_rank_metric_matches_brute_oracles(flags, cutoff):
+    ranking = [f"x{i}" for i in range(len(flags))]
+    relevant = {x for x, f in zip(ranking, flags) if f}
+    arr = np.array(flags, dtype=bool)
+    assert rank_metric(arr, "ap") == pytest.approx(
+        brute_average_precision(ranking, relevant), abs=1e-12
+    )
+    assert rank_metric(arr, "ndcg", cutoff) == pytest.approx(
+        brute_ndcg(ranking, relevant, cutoff), abs=1e-12
+    )
+
+
+def test_rank_metric_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric"):
+        rank_metric(np.array([False, False]), "map")
 
 
 class TestMean:
@@ -172,6 +201,19 @@ class TestRandomizationTest:
         with pytest.raises(ValueError):
             randomization_test([0.1], [0.2])
 
+    @pytest.mark.parametrize(
+        "n_perm, expected",
+        [(16384, 0.4300274641440342), (16385, 0.4300622482607104)],
+    )
+    def test_monte_carlo_p_values_pinned(self, n_perm, expected):
+        # one full 2^14-row block of flips, then that block plus a 1-row one;
+        # the pinned values fix the sequence of rng calls
+        rng = np.random.default_rng(7)
+        a = rng.random(24).round(3).tolist()
+        b = rng.random(24).round(3).tolist()
+        p = randomization_test(a, b, n_perm=n_perm, seed=11, method="montecarlo")
+        assert p == expected
+
     def test_p_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for n in (2, 5, 21):
@@ -251,6 +293,13 @@ class TestRunIO:
         path = tmp_path / "r.run"
         path.write_text("sky\tx2\t1\t0.5\trun\nsky\tx1\t2\t0.5\trun\n")
         with pytest.raises(EvalFormatError, match="tie rule"):
+            read_run(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected_with_line_number(self, tmp_path, score):
+        path = tmp_path / "r.run"
+        path.write_text(f"sky\tx1\t1\t0.9\tr\nsky\tx2\t2\t{score}\tr\n")
+        with pytest.raises(EvalFormatError, match=r"r\.run:2: non-finite score"):
             read_run(path)
 
 

@@ -234,6 +234,17 @@ class TestWeightFiles:
         with pytest.raises(ValueError):
             read_weights(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
+    def test_non_finite_or_negative_weight_rejected_with_line(self, tmp_path, bad):
+        path = tmp_path / "w.tsv"
+        path.write_text(f"# global\na\t0.5\nb\t{bad}\n")
+        with pytest.raises(ValueError, match=r"w\.tsv:3: weight must be finite and nonnegative"):
+            read_weights(path)
+        path = tmp_path / "c.tsv"
+        path.write_text(f"sky\ta\t0.5\nsky\tb\t{bad}\n")
+        with pytest.raises(ValueError, match=r"c\.tsv:2: weight must be finite and nonnegative"):
+            read_concept_weights(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "w.tsv"
         path.write_text("# global\na\n")

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from tagfusion.estimators import ScoreTable
-from tagfusion.evalkit import Qrels, average_precision
+from tagfusion.collection import (
+    SyntheticConfig,
+    SyntheticFeature,
+    generate_collection,
+    images_with_tag,
+)
+from tagfusion.estimators import ScoreTable, neighbor_vote_table
+from tagfusion.evalkit import Qrels, average_precision, ndcg_at
 from tagfusion.fusion import late_fuse
 from tagfusion.learning import (
     AscentConfig,
     LabeledPair,
+    _ConceptEval,
     coordinate_ascent,
     learn_distance_weights,
     learn_per_concept,
@@ -286,6 +293,35 @@ class TestCoordinateAscent:
         tables, q, _ = perfect_and_inverted()
         result = coordinate_ascent(tables, q, AscentConfig(metric="ndcg", seed=0))
         assert result.objective == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cutoff", [0, -5])
+    def test_cutoff_below_one_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            AscentConfig(metric="ndcg", cutoff=cutoff)
+
+    def test_concept_metric_equals_evaluation_bit_for_bit(self):
+        # with one table at weight 1 the ascent ranks exactly as the table
+        # does, so its metric must be evalkit's to the last bit
+        checked = 0
+        for seed in (1, 2, 3, 4, 5):
+            c, truth = generate_collection(SyntheticConfig(
+                n_images=400, n_tags=20, n_users=20,
+                features=(SyntheticFeature("visa", 4),), q_correct=0.9, q_incorrect=0.05,
+                seed=seed,
+            ))
+            for tag in sorted(truth):
+                if not images_with_tag(c, tag):
+                    continue
+                table = neighbor_vote_table(c, tag, "visa", 20)
+                relevant = frozenset(truth[tag])
+                ce = _ConceptEval([table], relevant)
+                ranking = table.ranking()
+                w = np.array([1.0])
+                assert ce.metric(w, "ap", 100) == average_precision(ranking, relevant)
+                for cutoff in (10, 100):
+                    assert ce.metric(w, "ndcg", cutoff) == ndcg_at(ranking, relevant, cutoff)
+                checked += 1
+        assert checked == 100
 
 
 def mean_ap(tables_per_concept, qrels, wv):

@@ -51,6 +51,13 @@ class TestL1:
 
 
 class TestWeightVector:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector(("a", "b"), (bad, bad))
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector.normalized(["a", "b"], [bad, 1.0])
+
     def test_normalized_lands_on_simplex(self):
         wv = WeightVector.normalized(["a", "b", "c"], [2.0, 3.0, 5.0])
         assert abs(sum(wv.weights) - 1.0) <= 1e-9

@@ -276,6 +276,41 @@ class TestCliScoreLearnEval:
         for name in ("weights-global.tsv", "weights-concepts.tsv", "learn.log"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("cutoff", ["0", "-5"])
+    def test_learn_rejects_cutoff_below_one(self, tmp_path, capsys, cutoff):
+        tags, feats, qrels = self.pipeline_files(tmp_path)
+        assert main([
+            "learn", "--tags", tags, "--features", feats, "--qrels", qrels,
+            "--scheme", "late", "--metric", "ndcg", "--cutoff", cutoff,
+            "--k", "10", "--out", str(tmp_path / "learned"),
+        ]) == 2
+        assert "cutoff must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "learned" / "weights-global.tsv").exists()
+
+    def test_score_rejects_non_finite_weight_files(self, tmp_path, capsys):
+        tags, feats, _ = self.pipeline_files(tmp_path)
+        weights = tmp_path / "w.tsv"
+        weights.write_text("# global\nvisa\tnan\nvisb\tnan\n")
+        concept_weights = tmp_path / "c.tsv"
+        concept_weights.write_text("w0\tvisa\tinf\nw0\tvisb\t0.5\n")
+        for preset, flag, path, line in (
+            ("early-minmax-learning", "--weights", weights, 2),
+            ("early-minmax-learning+", "--concept-weights", concept_weights, 1),
+        ):
+            assert main([
+                "score", "--tags", tags, "--features", feats, "--preset", preset,
+                flag, str(path), "--k", "10", "--out", str(tmp_path / "r.run"),
+            ]) == 2
+            assert f"{path}:{line}: weight must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.run").exists()
+
+    def test_eval_rejects_non_finite_run_score(self, tmp_path, capsys):
+        _, _, qrels = self.pipeline_files(tmp_path)
+        run_path = tmp_path / "nan.run"
+        run_path.write_text("w0\tx1\t1\tnan\tr\nw0\tx2\t2\tnan\tr\nw0\tx3\t3\t5.0\tr\n")
+        assert main(["eval", "--qrels", qrels, str(run_path)]) == 2
+        assert f"{run_path}:1: non-finite score" in capsys.readouterr().err
+
     def test_learn_early_scheme(self, tmp_path):
         tags, feats, qrels = self.pipeline_files(tmp_path)
         learned = tmp_path / "early"
