@@ -311,8 +311,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         feature_names,
     )
     out = Path(str(opts["out"]))
-    out.mkdir(parents=True, exist_ok=True)
     log_lines: list[str] = []
+    pc = None  # per-concept result, when asked for
 
     if opts["scheme"] == "late":
         cfg = AscentConfig(
@@ -330,7 +330,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
         if not tables:
             raise CliError("no training concept labels any image in the collection")
         result = coordinate_ascent(tables, qrels, cfg)
-        write_weights(out / "weights-global.tsv", result.weights)
         log_lines.append("# global")
         for sweep, coord, weight, objective in result.trace:
             log_lines.append(f"{sweep}\t{coord}\t{weight!r}\t{objective!r}")
@@ -340,7 +339,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 min_pos=int(opts["min_pos"]),
                 global_weights=result.weights,
             )
-            write_concept_weights(out / "weights-concepts.tsv", pc.per_concept, pc.fallbacks)
             for tag in sorted(pc.traces):
                 log_lines.append(f"# concept {tag}")
                 for sweep, coord, weight, objective in pc.traces[tag]:
@@ -359,7 +357,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
         )
         d = pair_feature_distances(collection, pairs, feature_names, normalizers)
         result = learn_distance_weights(d, [p.label for p in pairs], feature_names, gcfg)
-        write_weights(out / "weights-global.tsv", result.weights)
         log_lines.append("# global")
         for it, wvec in enumerate(result.weight_trace, start=1):
             for name, w in zip(feature_names, wvec):
@@ -373,8 +370,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 config=gcfg,
                 global_weights=result.weights,
             )
-            write_concept_weights(out / "weights-concepts.tsv", pc.per_concept, pc.fallbacks)
 
+    # nothing is written until every step has succeeded
+    out.mkdir(parents=True, exist_ok=True)
+    write_weights(out / "weights-global.tsv", result.weights)
+    if pc is not None:
+        write_concept_weights(out / "weights-concepts.tsv", pc.per_concept, pc.fallbacks)
     with open(out / "learn.log", "w", encoding="utf-8") as fh:
         fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
     print(f"wrote learned weights to {out}")

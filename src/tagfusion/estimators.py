@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -105,50 +105,74 @@ def early_fused_score(
     return neighbor_vote(c, nl, w, k)
 
 
-def _vote_scores(
+def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest entries of each row, nan slots never taken.
+
+    Columns must be in ascending-id order: among entries equal to the k-th
+    smallest distance, the first ones by column fill the remaining slots,
+    which is knn's distance-then-id order. Rows with fewer than k non-nan
+    entries take them all.
+    """
+    if k >= dist.shape[1]:
+        return ~np.isnan(dist)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]  # nan sorts last
+    less = dist < kth
+    tie = dist == kth
+    return less | (tie & (np.cumsum(tie, axis=1) <= k - less.sum(axis=1, keepdims=True)))
+
+
+def vote_tables(
     c: Collection,
-    w: str,
+    tags: Sequence[str],
     metric: str | WeightVector,
     normalizers: Mapping[str, DistanceNormalizer] | None,
     k: int,
-    scored: Collection | None,
-) -> dict[str, float]:
-    """Neighbor-vote score of every image labeled `w` in `scored`.
+    scored: Collection | None = None,
+) -> dict[str, ScoreTable]:
+    """Neighbor-vote tables of every tag in `tags`, one top-k pass per image.
 
-    `metric` is a feature name (raw L1) or a WeightVector (combined distance),
-    as in `knn`. Neighbors and the tag prior come from the source `c`;
-    `scored` defaults to the source itself, and an image present in both is
-    never its own neighbor. Candidates go 64 at a time; each selects the top
-    k by distance, then ascending id, so the scores are bit-identical to
-    neighbor_vote over knn per candidate.
+    `metric` is a feature name (raw L1, a `tagrel:<feature>` table) or a
+    WeightVector (combined distance, an `earlyfuse` table), as in `knn`.
+    Neighbors and tag priors come from the source `c`; candidates, the
+    images of `scored` (default: the source) that carry a requested tag,
+    are searched once each, 64 at a time, whatever number of tags they
+    carry. An image present in both collections is never its own neighbor.
+    Each score is bit-identical to neighbor_vote over knn for its candidate.
     """
     if len(c) == 0:
         raise ValueError("empty source collection")
     if k < 1:
         raise ValueError("k must be >= 1")
     scored = scored if scored is not None else c
-    cand = sorted(images_with_tag(scored, w))
-    labeled = images_with_tag(c, w)
-    tagged = np.array([rec.image_id in labeled for rec in c.images], dtype=bool)
-    prior = tag_prior(c, w)
-    features = [metric] if isinstance(metric, str) else list(dict.fromkeys(metric.names))
-    scores: dict[str, float] = {}
+    cand = sorted(set().union(*(images_with_tag(scored, w) for w in tags)))
+    by_id = np.argsort(c.id_rank)  # column order of each distance block: ascending id
+    incidence = np.zeros((len(c), len(tags)), dtype=np.float64)
+    for j, w in enumerate(tags):
+        incidence[c.id_rank[[c.index_of(x) for x in images_with_tag(c, w)]], j] = 1.0
+    if isinstance(metric, str):
+        features, estimator, meta = [metric], f"tagrel:{metric}", {}
+    else:
+        features = list(dict.fromkeys(metric.names))
+        estimator, meta = "earlyfuse", {"weights": metric}
+    votes = np.empty((len(cand), len(tags)), dtype=np.float64)
     for start in range(0, len(cand), 64):
         block = cand[start : start + 64]
         own = np.array([c.index_of(x) if x in c else -1 for x in block])
         qvecs = {f: np.stack([scored.vector(f, x) for x in block]) for f in features}
         if isinstance(metric, str):
             dist = pairwise_l1(qvecs[metric], c.feature(metric).matrix)
+            rows = np.nonzero(own >= 0)[0]
+            dist[rows, own[rows]] = np.nan
         else:
             dist = _combined_to_all(c, metric, qvecs, own, normalizers or {})
-        rows = np.nonzero(own >= 0)[0]
-        dist[rows, own[rows]] = np.inf  # sorts last, behind every real neighbor
-        order = np.lexsort((np.broadcast_to(c.id_rank, dist.shape), dist), axis=-1)
-        within = np.arange(len(c)) < np.minimum(k, len(c) - (own >= 0))[:, None]
-        votes = (tagged[order] & within).sum(axis=1)
-        for x, v in zip(block, votes):
-            scores[x] = int(v) / k - prior
-    return scores
+        votes[start : start + len(block)] = _top_k(dist[:, by_id], k) @ incidence
+    position = {x: i for i, x in enumerate(cand)}
+    tables: dict[str, ScoreTable] = {}
+    for j, w in enumerate(tags):
+        ids = sorted(images_with_tag(scored, w))
+        scores = votes[[position[x] for x in ids], j] / k - tag_prior(c, w)
+        tables[w] = ScoreTable(estimator, w, dict(zip(ids, scores.tolist())), dict(meta))
+    return tables
 
 
 def neighbor_vote_table(
@@ -164,8 +188,7 @@ def neighbor_vote_table(
     labeled `w`) live in `scored`, which defaults to the source itself.
     Bit-identical to calling neighbor_vote over knn per candidate.
     """
-    scores = _vote_scores(c, w, feature, None, k, scored)
-    return ScoreTable(estimator=f"tagrel:{feature}", tag=w, scores=scores)
+    return vote_tables(c, [w], feature, None, k, scored)[w]
 
 
 def early_fused_table(
@@ -180,8 +203,7 @@ def early_fused_table(
 
     Bit-identical to early_fused_score per candidate.
     """
-    scores = _vote_scores(c, w, wv, normalizers, k, scored)
-    return ScoreTable(estimator="earlyfuse", tag=w, scores=scores, meta={"weights": wv})
+    return vote_tables(c, [w], wv, normalizers, k, scored)[w]
 
 
 # ---------------------------------------------------------------------------

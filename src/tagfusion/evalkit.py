@@ -87,8 +87,14 @@ def _flip_count(diffs: np.ndarray, sign_blocks: Iterable[np.ndarray]) -> int:
 
 
 def _exact_signs(n: int) -> Iterator[np.ndarray]:
-    """All 2^n sign vectors, 2^16 rows at a time; bit j of the row code flips j."""
-    codes = np.arange(1 << n, dtype=np.uint64)
+    """The 2^(n-1) sign vectors that keep the last sign, 2^16 rows at a time;
+    bit j of the row code flips j.
+
+    Their complements are the other half of all 2^n: a complement negates
+    every product exactly, and round-to-nearest is symmetric, so its row sum
+    is exactly minus the original and counts the same.
+    """
+    codes = np.arange(1 << (n - 1), dtype=np.uint64)
     bits = 1 << np.arange(n, dtype=np.uint64)
     for start in range(0, len(codes), 1 << 16):
         block = codes[start : start + (1 << 16)]
@@ -111,7 +117,8 @@ def randomization_test(
 ) -> float:
     """Two-sided sign-flip test on paired per-concept scores.
 
-    Exact enumeration of all 2^n flips when n <= 20 (or method='exact');
+    Exact over all 2^n flips when n <= 20 (or method='exact'), of which the
+    2^(n-1) that keep the last sign are enumerated;
     otherwise `n_perm` seeded random flips with the add-one convention.
     Returns the p-value in (0, 1]; symmetric in its arguments.
     """
@@ -126,7 +133,7 @@ def randomization_test(
     diffs = np.asarray(scores_a, dtype=np.float64) - np.asarray(scores_b, dtype=np.float64)
     n = len(diffs)
     if method == "exact" or (method == "auto" and n <= EXACT_FLIP_LIMIT):
-        return _flip_count(diffs, _exact_signs(n)) / (1 << n)
+        return 2 * _flip_count(diffs, _exact_signs(n)) / (1 << n)
     # add-one: the observed labeling counts as one permutation, so p > 0
     return (_flip_count(diffs, _random_signs(n, n_perm, seed)) + 1) / (n_perm + 1)
 

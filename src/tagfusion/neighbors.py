@@ -176,6 +176,8 @@ def calibrate_normalizer(
     """
     if mode not in NORMALIZER_MODES:
         raise ValueError(f"unknown normalizer mode {mode!r}")
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     if mode != "minmax":
         return DistanceNormalizer(mode=mode)
     if len(c) < 2:

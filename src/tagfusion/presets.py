@@ -17,11 +17,10 @@ from .estimators import (
     ScoreTable,
     TagSimilarityModel,
     build_tag_similarity,
-    early_fused_table,
     kde_table,
-    neighbor_vote_table,
     semantic_field_table,
     tag_position_table,
+    vote_tables,
 )
 from .fusion import (
     ScoreBounds,
@@ -83,6 +82,9 @@ class ScoreSettings:
     def __post_init__(self) -> None:
         if not self.features:
             raise ValueError("at least one feature must be configured")
+        for name in ("k", "kde_sample_cap", "calib_sample_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.estimators:
             self.estimators = tuple(f"tagrel:{f}" for f in self.features)
         if self.kde_feature is None:
@@ -100,12 +102,19 @@ def _parse_estimator(spec: str) -> tuple[str, str | None]:
 
 
 class EstimatorContext:
-    """Lazily shared state across tags (similarity model, calibrations)."""
+    """Lazily shared state across the tags of one command.
 
-    def __init__(self, c: Collection, settings: ScoreSettings) -> None:
+    Holds the similarity model and, per voting feature, the tables of every
+    tag in `tags`, computed in one neighbor pass the first time any of them
+    is asked for.
+    """
+
+    def __init__(self, c: Collection, settings: ScoreSettings, tags: Sequence[str]) -> None:
         self.c = c
         self.settings = settings
+        self.tags = tuple(tags)
         self._sim_model: TagSimilarityModel | None = None
+        self._votes: dict[str, dict[str, ScoreTable]] = {}
 
     @property
     def sim_model(self) -> TagSimilarityModel:
@@ -118,7 +127,9 @@ class EstimatorContext:
         s = self.settings
         if kind == "tagrel":
             assert feature is not None
-            return neighbor_vote_table(self.c, tag, feature, s.k)
+            if feature not in self._votes:
+                self._votes[feature] = vote_tables(self.c, self.tags, feature, None, s.k)
+            return self._votes[feature][tag]
         if kind == "tagposition":
             return tag_position_table(self.c, tag)
         if kind == "semanticfield":
@@ -210,10 +221,9 @@ def build_training_tables(
     """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
-    ctx = EstimatorContext(c, settings)
-    return {
-        tag: ctx.normalized_tables(tag, norm) for tag in concepts if images_with_tag(c, tag)
-    }
+    labeled = [tag for tag in concepts if images_with_tag(c, tag)]
+    ctx = EstimatorContext(c, settings, labeled)
+    return {tag: ctx.normalized_tables(tag, norm) for tag in labeled}
 
 
 def score_preset(
@@ -225,7 +235,7 @@ def score_preset(
     """Run the named preset over the requested tags, returning ranked runs."""
     run_id = run_id if run_id is not None else preset
     tags = _query_tags(c, settings)
-    ctx = EstimatorContext(c, settings)
+    ctx = EstimatorContext(c, settings, tags)
 
     single = {f"tagrel-{f}": f"tagrel:{f}" for f in c.features}
     single.update(
@@ -249,11 +259,14 @@ def score_preset(
             sample_size=settings.calib_sample_size,
             seed=derive_seed(settings.seed, "calibration"),
         )
-        tables = []
+        groups: dict[WeightVector, list[str]] = {}  # one neighbor pass per weight vector
         for t in tags:
             wv = _weights_for(settings, weighting, settings.features, tag=t)
-            tables.append(early_fused_table(c, t, wv, normalizers, settings.k))
-        return run_from_tables(run_id, tables)
+            groups.setdefault(wv, []).append(t)
+        tables: dict[str, ScoreTable] = {}
+        for wv, group in groups.items():
+            tables.update(vote_tables(c, group, wv, normalizers, settings.k))
+        return run_from_tables(run_id, [tables[t] for t in tags])
 
     # late fusion over the configured estimators
     fused_tables = []

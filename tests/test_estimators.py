@@ -11,6 +11,7 @@ from tagfusion.collection import (
     tag_prior,
 )
 from tagfusion.estimators import (
+    ScoreTable,
     TagSimilarityModel,
     build_tag_similarity,
     early_fused_score,
@@ -20,8 +21,11 @@ from tagfusion.estimators import (
     semantic_field_score,
     tag_position_score,
     tag_ranking_kde_score,
+    vote_tables,
 )
+from tagfusion.fusion import minmax_normalize, neighbor_vote_bounds, rankmax_normalize
 from tagfusion.neighbors import NeighborList, WeightVector, calibrate_normalizers, knn
+from tagfusion.presets import ScoreSettings, build_training_tables, derive_seed, score_preset
 
 from conftest import line_collection, make_collection
 
@@ -360,9 +364,10 @@ def with_query(c, scored, x):
 
 
 class TestVotingEngineDifferential:
-    """Both table builders bit for bit against neighbor_vote over knn."""
+    """The one-pass voting engine bit for bit against neighbor_vote over knn."""
 
     def test_tables_match_per_candidate_oracle_on_tie_heavy_worlds(self):
+        tags = ("a", "b", "c", "solo", "absent")
         checked = 0
         for seed in range(6):
             rng = np.random.default_rng(seed)
@@ -380,9 +385,10 @@ class TestVotingEngineDifferential:
                 metrics.append((WeightVector.normalized(["fa", "fb", "fa"], [0.5, 0.3, 0.2]), norms))
             metrics.append((WeightVector.normalized(["fa", "fb"], [0.3, 0.7]), None))
             for scored in (source, bench):
-                for tag in ("a", "b", "c", "solo", "absent"):
-                    for k in (1, n - 2, n - 1, n, n + 3):
-                        for metric, norms in metrics:
+                for k in (1, n - 2, n - 1, n, n + 3):
+                    for metric, norms in metrics:
+                        shared_pass = vote_tables(source, tags, metric, norms, k, scored=scored)
+                        for tag in tags:
                             if isinstance(metric, str):
                                 table = neighbor_vote_table(source, tag, metric, k, scored=scored)
                             else:
@@ -394,6 +400,123 @@ class TestVotingEngineDifferential:
                                     continue
                                 nl = knn(with_query(source, scored, x), metric, x, k, norms)
                                 expected[x] = neighbor_vote(source, nl, tag, k)
-                            assert table.scores == expected, (seed, scored is source, tag, k, metric)
+                            key = (seed, scored is source, tag, k, metric)
+                            assert bits(table.scores) == bits(expected), key
+                            assert bits(shared_pass[tag].scores) == bits(expected), key
+                            assert shared_pass[tag].estimator == table.estimator
                             checked += len(expected)
         assert checked > 5000
+
+    def test_presets_and_training_tables_match_per_candidate_oracle(self):
+        features = ("fa", "fb")
+        checked = 0
+        for seed in range(6):
+            source = tie_heavy_world(np.random.default_rng(seed), "s", 12)
+            n = len(source)
+            tags = sorted(source.tag_index)
+            glob = WeightVector.normalized(features, [0.4, 0.6])
+            # "b" shares the global vector; "c" and "solo" fall back to it
+            concept_weights = {"a": WeightVector.normalized(features, [0.9, 0.1]), "b": glob}
+            for k in (1, n - 2, n - 1, n, n + 3):
+                settings = ScoreSettings(
+                    features=features, k=k, calib_sample_size=500, seed=seed,
+                    weights=glob, concept_weights=concept_weights,
+                )
+                oracle = {
+                    f: {
+                        t: {x: neighbor_vote(source, knn(source, f, x, k), t, k)
+                            for x in sorted(images_with_tag(source, t))}
+                        for t in tags
+                    }
+                    for f in features
+                }
+                for f in features:
+                    run = score_preset(source, f"tagrel-{f}", settings)
+                    for t in tags:
+                        assert bits(dict(run.rankings[t])) == bits(oracle[f][t]), (seed, k, f, t)
+                        checked += len(oracle[f][t])
+                for norm in ("minmax", "rankmax"):
+                    normalizers = calibrate_normalizers(
+                        source, features, norm, 500, derive_seed(seed, "calibration")
+                    )
+                    for weighting in ("average", "learning", "learning+"):
+                        run = score_preset(source, f"early-{norm}-{weighting}", settings)
+                        for t in tags:
+                            wv = {
+                                "average": WeightVector.uniform(features),
+                                "learning": glob,
+                                "learning+": concept_weights.get(t, glob),
+                            }[weighting]
+                            expected = {
+                                x: early_fused_score(source, x, t, wv, normalizers, k)
+                                for x in sorted(images_with_tag(source, t))
+                            }
+                            key = (seed, k, norm, weighting, t)
+                            assert bits(dict(run.rankings[t])) == bits(expected), key
+                            checked += len(expected)
+                    training = build_training_tables(source, [*tags, "absent"], settings, norm)
+                    assert sorted(training) == tags
+                    for t in tags:
+                        for table, f in zip(training[t], features):
+                            base = ScoreTable(f"tagrel:{f}", t, oracle[f][t])
+                            if norm == "minmax":
+                                want = minmax_normalize(base, neighbor_vote_bounds(source, t))
+                            else:
+                                want = rankmax_normalize(base)
+                            assert bits(table.scores) == bits(want.scores), (seed, k, norm, t, f)
+                            checked += len(want.scores)
+        assert checked > 4000
+
+
+def bits(scores):
+    return {x: float(s).hex() for x, s in scores.items()}
+
+
+class TestOneNeighborPassPerImage:
+    def world(self):
+        cfg = SyntheticConfig(
+            n_images=300,
+            n_tags=8,
+            n_users=5,
+            features=(SyntheticFeature("fa", 3), SyntheticFeature("fb", 3)),
+            q_correct=0.9,
+            q_incorrect=0.2,
+            seed=4,
+        )
+        c, _ = generate_collection(cfg)
+        tagged = sum(1 for rec in c.images if rec.tags)
+        candidates = sum(len(ids) for ids in c.tag_index.values())
+        assert candidates > 2 * tagged  # images carry several tags each
+        return c, tagged
+
+    def count_rows(self, monkeypatch, module, call):
+        rows = []
+        inner = module.pairwise_l1
+
+        def counted(a, b, *args, **kwargs):
+            rows.append(len(a))
+            return inner(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(module, "pairwise_l1", counted)
+        call()
+        return sum(rows)
+
+    def test_single_feature_votes_search_each_tagged_image_once(self, monkeypatch):
+        import tagfusion.estimators as estimators
+
+        c, tagged = self.world()
+        settings = ScoreSettings(features=("fa", "fb"), k=20)
+        rows = self.count_rows(
+            monkeypatch, estimators, lambda: score_preset(c, "tagrel-fa", settings)
+        )
+        assert 0 < rows <= tagged
+
+    def test_early_fusion_searches_each_tagged_image_once_per_feature(self, monkeypatch):
+        import tagfusion.neighbors as neighbors
+
+        c, tagged = self.world()
+        settings = ScoreSettings(features=("fa", "fb"), k=20, calib_sample_size=500)
+        rows = self.count_rows(
+            monkeypatch, neighbors, lambda: score_preset(c, "early-rankmax-average", settings)
+        )
+        assert 0 < rows <= 2 * tagged

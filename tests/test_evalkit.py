@@ -168,6 +168,21 @@ class TestMetricsSeeOnlyOrdering:
                     )
 
 
+def full_exact_p(a, b):
+    """Exact sign-flip p-value over all 2^n sign vectors, row-wise np.sum."""
+    diffs = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    n = len(diffs)
+    observed = abs(float(np.sum(diffs)))
+    codes = np.arange(1 << n, dtype=np.uint64)
+    bits = 1 << np.arange(n, dtype=np.uint64)
+    count = 0
+    for start in range(0, len(codes), 1 << 16):
+        block = codes[start : start + (1 << 16)]
+        signs = np.where((block[:, None] & bits[None, :]) != 0, -1.0, 1.0)
+        count += int((np.abs(np.sum(signs * diffs, axis=1)) >= observed).sum())
+    return count / (1 << n)
+
+
 class TestRandomizationTest:
     def test_identical_scores_give_p_one(self):
         a = [0.3, 0.5, 0.9, 0.2]
@@ -213,6 +228,27 @@ class TestRandomizationTest:
         b = rng.random(24).round(3).tolist()
         p = randomization_test(a, b, n_perm=n_perm, seed=11, method="montecarlo")
         assert p == expected
+
+    def test_exact_p_values_match_the_full_enumeration(self):
+        # the test enumerates half the sign vectors; the oracle all 2^n
+        rng = np.random.default_rng(29)
+        cases = []
+        for i in range(400):
+            n = int(rng.integers(2, 15))
+            kind = i % 4
+            if kind == 0:
+                a, b = rng.random(n), rng.random(n)
+            elif kind == 1:  # rounded scores: many tied differences
+                a, b = rng.random(n).round(1), rng.random(n).round(1)
+            elif kind == 2:  # a few repeated values, zero differences included
+                a, b = rng.choice([0.0, 0.25, 0.5, 1.0], n), rng.choice([0.0, 0.25, 0.5, 1.0], n)
+            else:  # k/7: inexact binary fractions whose sums tie mathematically
+                a, b = rng.integers(0, 8, n) / 7, rng.integers(0, 8, n) / 7
+            cases.append((a.tolist(), b.tolist()))
+        cases.append(([0.6] * 20, [0.5] * 20))
+        cases.append(((rng.integers(0, 8, 20) / 7).tolist(), (rng.integers(0, 8, 20) / 7).tolist()))
+        for a, b in cases:
+            assert randomization_test(a, b).hex() == full_exact_p(a, b).hex(), (a, b)
 
     def test_p_in_unit_interval(self):
         rng = np.random.default_rng(3)

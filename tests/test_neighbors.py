@@ -111,6 +111,13 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_normalizer(c, "f", "minmax")
 
+    @pytest.mark.parametrize("mode", ["minmax", "rankmax", "none"])
+    @pytest.mark.parametrize("sample_size", [0, -3])
+    def test_sample_size_below_one_rejected(self, mode, sample_size):
+        c = line_collection([0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="sample_size must be >= 1"):
+            calibrate_normalizer(c, "f", mode, sample_size=sample_size)
+
     def test_minmax_bounds_cover_typical_distances(self):
         rng = np.random.default_rng(3)
         c = make_collection(

@@ -287,6 +287,50 @@ class TestCliScoreLearnEval:
         assert "cutoff must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "learned" / "weights-global.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cutoff", "0"],
+            ["--restarts", "0"],
+            ["--max-sweeps", "0"],
+            ["--line-steps", "0"],
+            ["--metric", "foo"],
+            ["--scheme", "early", "--pairs", "0"],
+            ["--scheme", "early", "--calib-sample-size", "0"],
+        ],
+    )
+    def test_rejected_learn_leaves_no_output_directory(self, tmp_path, capsys, flags):
+        tags, feats, qrels = self.pipeline_files(tmp_path)
+        out = tmp_path / "learned"
+        assert main([
+            "learn", "--tags", tags, "--features", feats, "--qrels", qrels,
+            "--k", "10", "--out", str(out), *flags,
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset, flags, message",
+        [
+            ("tagranking", ["--kde-sample-cap", "0"], "kde_sample_cap must be >= 1, got 0"),
+            ("tagranking", ["--kde-sample-cap", "-3"], "kde_sample_cap must be >= 1, got -3"),
+            (
+                "early-minmax-average", ["--calib-sample-size", "0"],
+                "calib_sample_size must be >= 1, got 0",
+            ),
+            ("tagrel-visa", ["--k", "0"], "k must be >= 1, got 0"),
+        ],
+    )
+    def test_score_rejects_settings_below_one(self, tmp_path, capsys, preset, flags, message):
+        tags, feats, _ = self.pipeline_files(tmp_path)
+        run_path = tmp_path / "r.run"
+        assert main([
+            "score", "--tags", tags, "--features", feats, "--preset", preset,
+            "--out", str(run_path), *flags,
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert not run_path.exists()
+
     def test_score_rejects_non_finite_weight_files(self, tmp_path, capsys):
         tags, feats, _ = self.pipeline_files(tmp_path)
         weights = tmp_path / "w.tsv"
