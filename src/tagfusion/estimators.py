@@ -105,20 +105,45 @@ def early_fused_score(
     return neighbor_vote(c, nl, w, k)
 
 
-def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
+def _top_k(dist: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
     """Mask of the k smallest entries of each row, nan slots never taken.
 
-    Columns must be in ascending-id order: among entries equal to the k-th
-    smallest distance, the first ones by column fill the remaining slots,
-    which is knn's distance-then-id order. Rows with fewer than k non-nan
-    entries take them all.
+    Among entries equal to the k-th smallest distance, those with the
+    lowest `id_rank` fill the remaining slots, which is knn's
+    distance-then-id order. Rows with fewer than k non-nan entries take
+    them all.
     """
     if k >= dist.shape[1]:
         return ~np.isnan(dist)
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]  # nan sorts last
-    less = dist < kth
+    kth = np.array([np.partition(row, k - 1)[k - 1] for row in dist])[:, None]  # nan sorts last
+    taken = dist < kth
     tie = dist == kth
-    return less | (tie & (np.cumsum(tie, axis=1) <= k - less.sum(axis=1, keepdims=True)))
+    room = k - taken.sum(axis=1)
+    for r in np.nonzero(tie.sum(axis=1) > room)[0]:  # more ties than free slots
+        cols = np.nonzero(tie[r])[0]
+        tie[r, cols[np.argsort(id_rank[cols])[room[r] :]]] = False
+    return taken | tie
+
+
+def _distance_block(
+    c: Collection,
+    scored: Collection,
+    block: Sequence[str],
+    metric: str | WeightVector,
+    normalizers: Mapping[str, DistanceNormalizer] | None,
+) -> np.ndarray:
+    """(len(block), n) distances from scored images to the source; a
+    query's own slot is nan."""
+    own = np.array([c.index_of(x) if x in c else -1 for x in block])
+    names = [metric] if isinstance(metric, str) else list(dict.fromkeys(metric.names))
+    qvecs = {f: np.stack([scored.vector(f, x) for x in block]) for f in names}
+    if isinstance(metric, str):
+        dist = pairwise_l1(qvecs[metric], c.feature(metric).matrix)
+    else:
+        dist = _combined_to_all(c, metric, qvecs, own, normalizers or {})
+    rows = np.nonzero(own >= 0)[0]
+    dist[rows, own[rows]] = np.nan
+    return dist
 
 
 def vote_tables(
@@ -136,41 +161,40 @@ def vote_tables(
     Neighbors and tag priors come from the source `c`; candidates, the
     images of `scored` (default: the source) that carry a requested tag,
     are searched once each, 64 at a time, whatever number of tags they
-    carry. An image present in both collections is never its own neighbor.
-    Each score is bit-identical to neighbor_vote over knn for its candidate.
+    carry. Votes are counted only for the requested tags a candidate
+    carries, so memory does not grow with the vocabulary. An image present
+    in both collections is never its own neighbor. Each score is
+    bit-identical to neighbor_vote over knn for its candidate.
     """
     if len(c) == 0:
         raise ValueError("empty source collection")
     if k < 1:
         raise ValueError("k must be >= 1")
     scored = scored if scored is not None else c
-    cand = sorted(set().union(*(images_with_tag(scored, w) for w in tags)))
-    by_id = np.argsort(c.id_rank)  # column order of each distance block: ascending id
-    incidence = np.zeros((len(c), len(tags)), dtype=np.float64)
-    for j, w in enumerate(tags):
-        incidence[c.id_rank[[c.index_of(x) for x in images_with_tag(c, w)]], j] = 1.0
+    wanted = set(tags)
+    cand = sorted(set().union(*(images_with_tag(scored, w) for w in wanted)))
     if isinstance(metric, str):
-        features, estimator, meta = [metric], f"tagrel:{metric}", {}
+        estimator, meta = f"tagrel:{metric}", {}
     else:
-        features = list(dict.fromkeys(metric.names))
         estimator, meta = "earlyfuse", {"weights": metric}
-    votes = np.empty((len(cand), len(tags)), dtype=np.float64)
+    columns: dict[str, np.ndarray] = {}  # tag -> indices of its source images
+    votes: dict[str, list[np.ndarray]] = {w: [] for w in wanted}
     for start in range(0, len(cand), 64):
         block = cand[start : start + 64]
-        own = np.array([c.index_of(x) if x in c else -1 for x in block])
-        qvecs = {f: np.stack([scored.vector(f, x) for x in block]) for f in features}
-        if isinstance(metric, str):
-            dist = pairwise_l1(qvecs[metric], c.feature(metric).matrix)
-            rows = np.nonzero(own >= 0)[0]
-            dist[rows, own[rows]] = np.nan
-        else:
-            dist = _combined_to_all(c, metric, qvecs, own, normalizers or {})
-        votes[start : start + len(block)] = _top_k(dist[:, by_id], k) @ incidence
-    position = {x: i for i, x in enumerate(cand)}
+        taken = _top_k(_distance_block(c, scored, block, metric, normalizers), k, c.id_rank)
+        carriers: dict[str, list[int]] = {}
+        for b, x in enumerate(block):
+            for w in wanted.intersection(scored.record(x).tags):
+                carriers.setdefault(w, []).append(b)
+        for w, bs in carriers.items():
+            if w not in columns:
+                columns[w] = np.array([c.index_of(x) for x in images_with_tag(c, w)], dtype=int)
+            votes[w].append(taken[np.ix_(bs, columns[w])].sum(axis=1))
     tables: dict[str, ScoreTable] = {}
-    for j, w in enumerate(tags):
+    for w in tags:
         ids = sorted(images_with_tag(scored, w))
-        scores = votes[[position[x] for x in ids], j] / k - tag_prior(c, w)
+        counts = np.concatenate(votes[w]) if votes[w] else np.zeros(0)
+        scores = counts / k - tag_prior(c, w)
         tables[w] = ScoreTable(estimator, w, dict(zip(ids, scores.tolist())), dict(meta))
     return tables
 

@@ -206,6 +206,25 @@ def calibrate_normalizers(
     }
 
 
+def _normalized_l1(
+    c: Collection, name: str, query_vecs: np.ndarray, own: np.ndarray, norm: DistanceNormalizer
+) -> np.ndarray:
+    """(B, n) L1 distances of feature `name` passed through `norm`; RankMax
+    skips the query's own slot `own[b]` (-1: none) as a candidate."""
+    d = pairwise_l1(query_vecs, c.feature(name).matrix)
+    if norm.mode == "minmax":
+        d -= norm.lower
+        d /= norm.upper - norm.lower
+        np.clip(d, 0.0, 1.0, out=d)
+    elif norm.mode == "rankmax":  # fraction of candidate images strictly closer
+        for b, row in enumerate(d):
+            candidates = np.delete(row, own[b]) if own[b] >= 0 else row
+            if len(candidates) == 0:
+                raise ValueError("rankmax normalization needs at least one candidate image")
+            d[b] = np.searchsorted(np.sort(candidates), row, side="left") / len(candidates)
+    return d
+
+
 def _combined_to_all(
     c: Collection,
     wv: WeightVector,
@@ -222,18 +241,11 @@ def _combined_to_all(
     rows = np.nonzero(own >= 0)[0]
     combined = np.zeros((len(own), len(c)), dtype=np.float64)
     for name, lam in zip(wv.names, wv.weights):
-        matrix = c.feature(name).matrix
-        d = pairwise_l1(query_vecs[name], matrix)
         norm = normalizers.get(name, DistanceNormalizer(mode="none"))
-        if norm.mode == "minmax":
-            d = np.clip((d - norm.lower) / (norm.upper - norm.lower), 0.0, 1.0)
-        elif norm.mode == "rankmax":  # fraction of candidate images strictly closer
-            for b, row in enumerate(d):
-                candidates = np.delete(row, own[b]) if own[b] >= 0 else row
-                if len(candidates) == 0:
-                    raise ValueError("rankmax normalization needs at least one candidate image")
-                d[b] = np.searchsorted(np.sort(candidates), row, side="left") / len(candidates)
-        combined = combined + lam * d
+        d = _normalized_l1(c, name, query_vecs[name], own, norm)
+        d *= lam
+        combined += d
+        del d  # one feature's block alive at a time
     combined[rows, own[rows]] = np.nan
     return combined
 

@@ -520,3 +520,25 @@ class TestOneNeighborPassPerImage:
             monkeypatch, neighbors, lambda: score_preset(c, "early-rankmax-average", settings)
         )
         assert 0 < rows <= 2 * tagged
+
+    def test_vote_memory_does_not_grow_with_the_vocabulary(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n, vocab = 1500, 3000
+        records = [
+            (f"i{i:04d}", "u", [f"t{j}" for j in sorted(set(rng.integers(0, vocab, size=2)))])
+            for i in range(n)
+        ]
+        c = make_collection(records, {"fa": list(rng.random((n, 4)))})
+        tags = sorted(c.tag_index)
+        assert len(tags) > 1500
+        tracemalloc.start()
+        try:
+            tables = vote_tables(c, tags, "fa", None, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(t) for t in tables.values()) == sum(len(r[2]) for r in records)
+        # a dense (images x tags) vote or incidence array alone would take n * T * 8 bytes
+        assert peak < n * len(tags) * 8 / 4
