@@ -3,8 +3,10 @@
 Metrics see only the ordering of the candidate set. AP averages precision at
 the relevant positions over the whole ranking; NDCG uses binary gains with a
 log2(i+1) discount, cut off (default 100). The significance test sign-flips
-per-concept score differences: exact enumeration up to 20 concepts, seeded
-Monte Carlo with the add-one convention beyond that.
+per-concept score differences: exact p-values up to 20 concepts, counted by
+meet in the middle (Horowitz & Sahni, JACM 1974) and bit-identical to full
+enumeration of the 2^n flips; seeded Monte Carlo with the add-one convention
+beyond that.
 """
 from __future__ import annotations
 
@@ -22,6 +24,18 @@ EXACT_FLIP_LIMIT = 20
 
 class EvalFormatError(ValueError):
     """Malformed run or qrels file."""
+
+
+_discount_table = np.empty(0)
+
+
+def _discounts(length: int) -> np.ndarray:
+    """The NDCG discounts 1/log2(i+1) of ranks 1..length, sliced from one
+    table that is rebuilt at twice the size when a longer prefix is needed."""
+    global _discount_table
+    if length > len(_discount_table):
+        _discount_table = 1.0 / np.log2(np.arange(2, 2 * length + 2))
+    return _discount_table[:length]
 
 
 def rank_metric(flags: np.ndarray, metric: str, cutoff: int = 100) -> float:
@@ -44,8 +58,8 @@ def rank_metric(flags: np.ndarray, metric: str, cutoff: int = 100) -> float:
         positions = np.arange(1, len(flags) + 1)
         return float((hits[flags] / positions[flags]).sum() / n_rel)
     top = flags[:cutoff]
-    dcg = float((top * (1.0 / np.log2(np.arange(2, len(top) + 2)))).sum())
-    idcg = float((1.0 / np.log2(np.arange(2, min(n_rel, cutoff) + 2))).sum())
+    dcg = float((top * _discounts(len(top))).sum())
+    idcg = float(_discounts(min(n_rel, cutoff)).sum())
     return dcg / idcg
 
 
@@ -86,19 +100,84 @@ def _flip_count(diffs: np.ndarray, sign_blocks: Iterable[np.ndarray]) -> int:
     return count
 
 
-def _exact_signs(n: int) -> Iterator[np.ndarray]:
-    """The 2^(n-1) sign vectors that keep the last sign, 2^16 rows at a time;
-    bit j of the row code flips j.
+def _signed_sums(first: float, d: np.ndarray) -> np.ndarray:
+    """first ± d[0] ± d[1] ..., summed left to right; entry c takes -d[j]
+    where bit j of c is set."""
+    sums = np.array([first])
+    for x in d:
+        sums = np.concatenate([sums + x, sums - x])
+    return sums
 
-    Their complements are the other half of all 2^n: a complement negates
-    every product exactly, and round-to-nearest is symmetric, so its row sum
-    is exactly minus the original and counts the same.
+
+def _exact_flip_count(diffs: np.ndarray) -> int:
+    """Number of the 2^n sign rows whose |row-wise np.sum| reaches
+    |np.sum(diffs)|, counted by meet in the middle (Horowitz & Sahni, 1974).
+
+    A sign on a zero difference changes no |row sum|, and a row's complement
+    negates its sum exactly, so the count is 2 * 2^z times the count over
+    the sign patterns of the nonzero columns that keep the last one (z zero
+    differences). Those patterns are the pairs (a, b) of signed sums of the
+    free columns' two halves, b including the last column; for each a,
+    `searchsorted` in the sorted b finds the pairs whose a + b clears the
+    observed |sum| by more than a margin covering every rounding, which
+    every float row order decides alike. The pairs inside the margin are
+    rebuilt as full sign rows and counted by `_flip_count`, so the count
+    equals that of full enumeration.
     """
-    codes = np.arange(1 << (n - 1), dtype=np.uint64)
-    bits = 1 << np.arange(n, dtype=np.uint64)
-    for start in range(0, len(codes), 1 << 16):
-        block = codes[start : start + (1 << 16)]
-        yield np.where((block[:, None] & bits[None, :]) != 0, -1.0, 1.0)
+    n = len(diffs)
+    nonzero = np.flatnonzero(diffs)
+    if len(nonzero) == 0:
+        return 1 << n  # every row sums to 0, which reaches 0
+    free = nonzero[:-1]
+    h = len(free) // 2
+    half_a = _signed_sums(0.0, diffs[free[:h]])
+    half_b = _signed_sums(diffs[nonzero[-1]], diffs[free[h:]])
+    order = np.argsort(half_b, kind="stable")
+    half_b = half_b[order]
+    abs_sum = float(np.abs(diffs).sum())
+    # for each a: b in [0, neg) or [pos, len(b)) counts, b in [neg, neg_band)
+    # or [pos_band, pos) is within the margin, and the rest does not count
+    if math.isfinite(4 * abs_sum):
+        observed = abs(float(np.sum(diffs)))
+        # a float row sum and a + b each lie within γ_{n-1}·Σ|d| of the exact
+        # sum, and observed, hi, lo and the thresholds minus a round by at
+        # most 2^-53·3Σ|d| each, less than 8n·2^-53·Σ|d| in all;
+        # nextafter covers a product that underflows
+        margin = float(np.nextafter(abs_sum * (8 * n * 2.0**-53), np.inf))
+        hi, lo = observed + margin, observed - margin
+        neg = np.searchsorted(half_b, -hi - half_a, "right")
+        neg_band = np.searchsorted(half_b, -lo - half_a, "right")
+        # the maximum keeps the bands disjoint where they meet, and merges
+        # them into (-hi, hi) when lo <= 0
+        pos_band = np.maximum(np.searchsorted(half_b, lo - half_a, "left"), neg_band)
+        pos = np.maximum(np.searchsorted(half_b, hi - half_a, "left"), pos_band)
+    else:  # no headroom for the bounds: rebuild every row
+        neg = neg_band = pos_band = np.zeros(len(half_a), dtype=np.int64)
+        pos = np.full(len(half_a), len(half_b), dtype=np.int64)
+    count = int(neg.sum()) + int((len(half_b) - pos).sum())
+    starts = np.concatenate([neg, pos_band])
+    lengths = np.concatenate([neg_band - neg, pos - pos_band])
+    count += _flip_count(diffs, _band_signs(n, free, order, h, starts, lengths))
+    return (2 * count) << (n - len(nonzero))
+
+
+def _band_signs(
+    n: int, free: np.ndarray, order: np.ndarray, h: int, starts: np.ndarray, lengths: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Full sign rows of the pairs (i mod 2^h, order[starts[i] + j]) of half
+    codes for j < lengths[i], 2^16 rows at a time; the h low bits of a row
+    code flip free[:h], the others free[h:]; zero and last columns keep +1."""
+    ends = np.cumsum(lengths)
+    bits = np.arange(len(free), dtype=np.int64)
+    total = int(ends[-1])
+    for start in range(0, total, 1 << 16):
+        row = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        band = np.searchsorted(ends, row, "right")
+        code_b = order[starts[band] + row - (ends[band] - lengths[band])]
+        code = (band & ((1 << h) - 1)) | (code_b << h)
+        signs = np.ones((len(row), n))
+        signs[:, free] = np.where((code[:, None] >> bits) & 1, -1.0, 1.0)
+        yield signs
 
 
 def _random_signs(n: int, n_perm: int, seed: int) -> Iterator[np.ndarray]:
@@ -117,10 +196,11 @@ def randomization_test(
 ) -> float:
     """Two-sided sign-flip test on paired per-concept scores.
 
-    Exact over all 2^n flips when n <= 20 (or method='exact'), of which the
-    2^(n-1) that keep the last sign are enumerated;
+    Exact over all 2^n flips when n <= 20 (or method='exact'), counted by
+    meet in the middle and bit-identical to enumerating every flip;
     otherwise `n_perm` seeded random flips with the add-one convention.
-    Returns the p-value in (0, 1]; symmetric in its arguments.
+    Returns the p-value in (0, 1]; symmetric in its arguments. Raises
+    ValueError on a NaN or infinite score or an overflowing difference.
     """
     if len(scores_a) != len(scores_b):
         raise ValueError(f"length mismatch: {len(scores_a)} vs {len(scores_b)}")
@@ -130,12 +210,24 @@ def randomization_test(
         raise ValueError("n_perm must be >= 1")
     if method not in ("auto", "exact", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
-    diffs = np.asarray(scores_a, dtype=np.float64) - np.asarray(scores_b, dtype=np.float64)
-    n = len(diffs)
-    if method == "exact" or (method == "auto" and n <= EXACT_FLIP_LIMIT):
-        return 2 * _flip_count(diffs, _exact_signs(n)) / (1 << n)
-    # add-one: the observed labeling counts as one permutation, so p > 0
-    return (_flip_count(diffs, _random_signs(n, n_perm, seed)) + 1) / (n_perm + 1)
+    a = np.asarray(scores_a, dtype=np.float64)
+    b = np.asarray(scores_b, dtype=np.float64)
+    for name, scores in (("scores_a", a), ("scores_b", b)):
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if len(bad):
+            raise ValueError(f"{name}[{bad[0]}] is not finite: {scores[bad[0]]!r}")
+    # a difference that overflows is rejected; a sum that does is counted
+    # as full enumeration counts it
+    with np.errstate(over="ignore"):
+        diffs = a - b
+        bad = np.flatnonzero(~np.isfinite(diffs))
+        if len(bad):
+            raise ValueError(f"score difference at index {bad[0]} overflows")
+        n = len(diffs)
+        if method == "exact" or (method == "auto" and n <= EXACT_FLIP_LIMIT):
+            return _exact_flip_count(diffs) / (1 << n)
+        # add-one: the observed labeling counts as one permutation, so p > 0
+        return (_flip_count(diffs, _random_signs(n, n_perm, seed)) + 1) / (n_perm + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tagfusion import evalkit
 from tagfusion.estimators import ScoreTable
 from tagfusion.evalkit import (
     EvalFormatError,
@@ -104,6 +105,22 @@ def test_rank_metric_matches_brute_oracles(flags, cutoff):
     assert rank_metric(arr, "ndcg", cutoff) == pytest.approx(
         brute_ndcg(ranking, relevant, cutoff), abs=1e-12
     )
+
+
+def test_cached_ndcg_discounts_match_the_uncached_formula_bitwise(monkeypatch):
+    # start from an empty table so every growth step is exercised
+    monkeypatch.setattr(evalkit, "_discount_table", np.empty(0))
+    rng = np.random.default_rng(13)
+    for length in range(1, 1001):
+        flags = rng.random(length) < 0.3
+        flags[rng.integers(length)] = True
+        n_rel = int(flags.sum())
+        for cutoff in (1, 4, 100):
+            top = flags[:cutoff]
+            dcg = float((top * (1.0 / np.log2(np.arange(2, len(top) + 2)))).sum())
+            idcg = float((1.0 / np.log2(np.arange(2, min(n_rel, cutoff) + 2))).sum())
+            got = rank_metric(flags, "ndcg", cutoff)
+            assert got.hex() == (dcg / idcg).hex(), (length, cutoff)
 
 
 def test_rank_metric_rejects_unknown_metric():
@@ -257,6 +274,126 @@ class TestRandomizationTest:
             b = list(rng.random(n))
             p = randomization_test(a, b, n_perm=2000, seed=0)
             assert 0.0 < p <= 1.0
+
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected_with_its_index(self, method, bad):
+        a = [0.1, 0.2, 0.3, 0.4]
+        b = [0.4, 0.3, bad, 0.1]
+        with pytest.raises(ValueError, match=r"scores_b\[2\] is not finite"):
+            randomization_test(a, b, n_perm=100, method=method)
+        with pytest.raises(ValueError, match=r"scores_a\[2\] is not finite"):
+            randomization_test(b, a, n_perm=100, method=method)
+
+    def test_overflowing_difference_rejected_with_its_index(self):
+        with pytest.raises(ValueError, match="index 1 overflows"):
+            randomization_test([0.0, 1.7e308], [0.0, -1.7e308])
+
+
+def _mitm_cases():
+    """Inputs for the meet-in-the-middle count: ties, zeros, extreme scales."""
+    rng = np.random.default_rng(31)
+    cases = [
+        ([0.25, -0.25, 0.5, -0.5], [0.0] * 4),  # observed |sum| exactly 0
+        ([0.1, 0.2, -0.3], [0.0] * 3),  # observed 5.6e-17, within the margin of 0
+        ([0.4, 0.9, 0.3], [0.4, 0.9, 0.3]),  # all differences zero
+        ([0.0, 0.7, 0.0, 0.0], [0.0] * 4),  # one nonzero difference
+        ([0.3, 0.1, 0.5, 0.2], [0.1, 0.4, 0.2, 0.2]),  # zero in the last column
+        ([5e-324, -5e-324, 1e-323], [0.0] * 3),  # subnormal differences
+        ([1.6e307] * 12, [0.0] * 12),  # Σ|d| overflows: every row rebuilt
+        ([3e306] * 11 + [-2e306], [-1e306] * 12),  # only 4Σ|d| overflows
+    ]
+    for n in range(2, 21):
+        reps = 3 if n <= 14 else 1
+        for rep in range(reps):
+            kinds = range(10) if n <= 14 else [(n + rep) % 10]
+            for kind in kinds:
+                if kind == 0:  # a permutation of a: Σd is 0 or a rounding away from it
+                    a = rng.random(n)
+                    b = rng.permutation(a)
+                elif kind == 1:
+                    a = rng.integers(0, 8, n) / 7
+                    b = rng.permutation(a)
+                elif kind == 2:  # {±1/7, 2/7}: many sums tie mathematically
+                    a, b = rng.choice([-1 / 7, 1 / 7, 2 / 7], n), np.zeros(n)
+                elif kind == 3:
+                    a, b = rng.random(n) * 1e-300, rng.random(n) * 1e-300
+                elif kind == 4:
+                    a, b = rng.random(n) * 1e300, rng.random(n) * 1e300
+                elif kind == 5:  # mixed scales
+                    a = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+                    b = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+                elif kind == 6:  # zeros, the last column included
+                    a, b = rng.random(n).round(1), rng.random(n).round(1)
+                    a[rng.random(n) < 0.4] = 0.0
+                    b[a == 0.0] = 0.0
+                    b[-1] = a[-1]
+                elif kind == 7:  # one nonzero difference among zeros
+                    a, b = np.zeros(n), np.zeros(n)
+                    a[rng.integers(n)] = rng.random()
+                elif kind == 8:
+                    a = rng.choice([0.0, 0.25, 0.5, 1.0], n)
+                    b = rng.choice([0.0, 0.25, 0.5, 1.0], n)
+                else:
+                    a, b = rng.random(n), rng.random(n)
+                cases.append((a.tolist(), b.tolist()))
+    return cases
+
+
+class TestMeetInTheMiddleCount:
+    def test_matches_the_full_enumeration_bitwise(self):
+        cases = _mitm_cases()
+        assert len(cases) >= 400
+        for a, b in cases:
+            p = randomization_test(a, b, method="exact")
+            assert p.hex() == full_exact_p(a, b).hex(), (a, b)
+            assert 0.0 < p <= 1.0
+
+    def test_matches_the_full_enumeration_past_the_exact_limit(self):
+        rng = np.random.default_rng(37)
+        a, b = (rng.integers(0, 8, 21) / 7).tolist(), (rng.integers(0, 8, 21) / 7).tolist()
+        assert randomization_test(a, b, method="exact").hex() == full_exact_p(a, b).hex()
+
+    def test_rebuilds_at_most_half_the_rows_in_bounded_blocks(self, monkeypatch):
+        blocks = []
+        flip_count = evalkit._flip_count
+
+        def spy(diffs, sign_blocks):
+            sign_blocks = list(sign_blocks)
+            blocks.extend(len(s) for s in sign_blocks)
+            return flip_count(diffs, sign_blocks)
+
+        monkeypatch.setattr(evalkit, "_flip_count", spy)
+        # |sum| 2/7, tied by the C(20, 9) rows of eleven -1/7 terms: all of
+        # them fall within the margin
+        a = [1 / 7] * 11 + [-1 / 7] * 9
+        assert randomization_test(a, [0.0] * 20).hex() == full_exact_p(a, [0.0] * 20).hex()
+        assert sum(blocks) == math.comb(20, 9) and max(blocks) == 1 << 16
+        blocks.clear()
+        randomization_test([1e307] * 12, [0.0] * 12)  # 4Σ|d| overflows: every row
+        assert sum(blocks) == 1 << 11
+        blocks.clear()
+        rng = np.random.default_rng(41)
+        randomization_test(rng.random(20).tolist(), rng.random(20).tolist())
+        assert sum(blocks) <= 16
+
+
+_scores = st.one_of(
+    st.sampled_from([0.0, 1 / 7, 2 / 7, 3 / 7, 0.25, 0.5, 1.0]),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pairs=st.lists(st.tuples(_scores, _scores), min_size=2, max_size=12))
+@example(pairs=[(0.0, 0.0), (0.0, 0.0)])
+@example(pairs=[(1 / 7, 0.0), (1 / 7, 0.0), (2 / 7, 0.0), (-1 / 7, 0.0)])
+def test_exact_p_value_property(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    p = randomization_test(a, b)
+    assert p.hex() == full_exact_p(a, b).hex()
+    assert 0.0 < p <= 1.0
 
 
 class TestQrelsIO:
