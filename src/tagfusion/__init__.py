@@ -19,7 +19,6 @@ from .estimators import (
     TagSimilarityModel,
     build_tag_similarity,
     early_fused_score,
-    early_fused_table,
     kde_table,
     neighbor_vote,
     neighbor_vote_table,
@@ -27,7 +26,6 @@ from .estimators import (
     semantic_field_table,
     tag_position_score,
     tag_position_table,
-    tag_ranking_kde_score,
 )
 from .evalkit import (
     Qrels,
@@ -81,9 +79,7 @@ from .neighbors import (
     WeightVector,
     calibrate_normalizer,
     calibrate_normalizers,
-    combined_distance,
     knn,
-    l1_distance,
 )
 from .presets import (
     ScoreSettings,

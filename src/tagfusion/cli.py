@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 from .collection import (
     SyntheticConfig,
     SyntheticFeature,
+    _read_lines,
     generate_collection,
     load_collection,
     save_collection,
@@ -70,33 +71,38 @@ def _bool(value: str) -> bool:
 Opt = tuple[Callable[[str], object], object]
 
 
-def read_config_file(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for no, line in enumerate(open(Path(path), encoding="utf-8"), start=1):
+def read_config_file(path: str | Path) -> dict[str, tuple[int, str]]:
+    """Config keys (dashes folded to underscores) -> (line number, value)."""
+    out: dict[str, tuple[int, str]] = {}
+    for no, line in _read_lines(Path(path)):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise CliError(f"{path}:{no}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out[key.strip().replace("-", "_")] = (no, value.strip())
     return out
 
 
 def _resolve(args: argparse.Namespace, options: dict[str, Opt]) -> dict[str, object]:
-    config: dict[str, str] = {}
+    config: dict[str, tuple[int, str]] = {}
     if getattr(args, "config", None):
         config = read_config_file(args.config)
-    unknown = set(config) - set(options)
-    if unknown:
-        raise CliError(f"unknown config key {sorted(unknown)[0]!r}")
+    for key, (no, _) in config.items():
+        if key not in options:
+            raise CliError(f"{args.config}:{no}: unknown config key {key!r}")
     resolved: dict[str, object] = {}
     for key, (convert, default) in options.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
-            resolved[key] = convert(config[key])
+            no, value = config[key]
+            try:
+                resolved[key] = convert(value)
+            except ValueError as exc:
+                raise CliError(f"{args.config}:{no}: {key}: {exc}") from None
         else:
             resolved[key] = default
     return resolved

@@ -179,6 +179,7 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
     """
     tags_path = Path(tags_path)
     records: list[ImageRecord] = []
+    seen: set[str] = set()
     for no, line in _read_lines(tags_path):
         if not line.strip() or line.startswith("#"):
             continue
@@ -194,17 +195,15 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
             raise CollectionError(
                 f"{tags_path}:{no}: tag folds to empty token on image {image_id!r}"
             )
+        if image_id in seen:
+            raise CollectionError(f"{tags_path}:{no}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
         try:
             records.append(ImageRecord(image_id=image_id, user_id=user_id, tags=tags))
         except CollectionError as exc:
             raise CollectionError(f"{tags_path}:{no}: {exc}") from None
 
     ids = [r.image_id for r in records]
-    seen: set[str] = set()
-    for r in records:
-        if r.image_id in seen:
-            raise CollectionError(f"{tags_path}: duplicate image_id {r.image_id!r}")
-        seen.add(r.image_id)
 
     features: dict[str, FeatureMatrix] = {}
     for fpath in feature_paths:

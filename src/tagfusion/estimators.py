@@ -24,7 +24,6 @@ from .neighbors import (
     _combined_to_all,
     _distinct_pairs,
     knn,
-    l1_to_all,
     pairwise_l1,
 )
 
@@ -215,21 +214,6 @@ def neighbor_vote_table(
     return vote_tables(c, [w], feature, None, k, scored)[w]
 
 
-def early_fused_table(
-    c: Collection,
-    w: str,
-    wv: WeightVector,
-    normalizers: Mapping[str, DistanceNormalizer] | None,
-    k: int,
-    scored: Collection | None = None,
-) -> ScoreTable:
-    """Early-fused voting scores for every candidate image of tag `w`.
-
-    Bit-identical to early_fused_score per candidate.
-    """
-    return vote_tables(c, [w], wv, normalizers, k, scored)[w]
-
-
 # ---------------------------------------------------------------------------
 # tag position baseline
 # ---------------------------------------------------------------------------
@@ -282,19 +266,6 @@ class TagSimilarityModel:
         self.tag_sets = dict(tag_sets)
         self.min_count = min_count
         self._cache: dict[tuple[str, str], float] = {}
-
-    @classmethod
-    def from_pair_table(cls, sims: Mapping[tuple[str, str], float]) -> "TagSimilarityModel":
-        """Model with explicitly fixed pair similarities (testing/synthetic use)."""
-        model = cls.__new__(cls)
-        model.n_images = 2
-        model.tag_sets = {}
-        model.min_count = 1
-        model._cache = {}
-        for (w, t), s in sims.items():
-            model._cache[(w, t)] = float(s)
-            model._cache[(t, w)] = float(s)
-        return model
 
     def sim(self, w: str, t: str) -> float:
         key = (w, t) if w <= t else (t, w)
@@ -374,72 +345,47 @@ def _kde_sigma(
     return sigma if sigma > 0.0 else 1.0
 
 
-def _kde_score_for_vector(
-    c: Collection,
-    w: str,
-    feature: str,
-    qvec: np.ndarray,
-    exclude_id: str,
-    sigma: float | None,
-    sample_cap: int,
-    seed: int,
-) -> float:
-    support = sorted(images_with_tag(c, w) - {exclude_id})
-    if not support:
-        raise ValueError(f"tag {w!r} has no support images besides {exclude_id!r}")
-    if sigma is None:
-        sigma = _kde_sigma(c, w, feature, sample_cap, seed)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if len(support) > sample_cap:
-        rng = np.random.default_rng(seed)
-        pick = np.sort(rng.choice(len(support), size=sample_cap, replace=False))
-        support = [support[i] for i in pick]
-    matrix = c.feature(feature).matrix
-    rows = np.array([c.index_of(m) for m in support])
-    d = l1_to_all(matrix[rows], qvec)
-    return float(np.mean(np.exp(-(d * d) / (sigma * sigma))))
-
-
-def tag_ranking_kde_score(
-    c: Collection,
-    x: str,
-    w: str,
-    feature: str,
-    sigma: float | None = None,
-    sample_cap: int = 500,
-    seed: int = 0,
-) -> float:
-    """Mean Gaussian kernel exp(-d^2 / sigma^2) from x to the other tagged images.
-
-    sigma defaults to the median pairwise distance among the tagged images
-    (seeded sample); the support sample is capped at `sample_cap`, also seeded.
-    """
-    return _kde_score_for_vector(
-        c, w, feature, c.vector(feature, x), x, sigma, sample_cap, seed
-    )
-
-
 def kde_table(
     c: Collection,
     w: str,
     feature: str,
-    sigma: float | None = None,
     sample_cap: int = 500,
     seed: int = 0,
     scored: Collection | None = None,
 ) -> ScoreTable:
-    """Kernel-density scores for every candidate of `w` (shared default sigma)."""
+    """Kernel-density scores for every candidate of `w`.
+
+    A candidate x scores the mean Gaussian kernel exp(-d^2 / sigma^2) over
+    the L1 distances d from x to the images of `w` in the source `c` other
+    than x (its support). sigma is the tag's median pairwise distance
+    (seeded sample). A support larger than `sample_cap` is cut to a seeded
+    sample that depends only on the support size, so it is drawn once per
+    size; a tag has at most two sizes, with and without the candidate.
+    Candidates are scored in blocks of 64 from one pairwise_l1 block to the
+    tag's source images. A candidate with an empty support scores 0.0.
+    """
     scored = scored if scored is not None else c
     cand = sorted(images_with_tag(scored, w))
-    if sigma is None:
-        sigma = _kde_sigma(c, w, feature, sample_cap, seed)
-    scores = {
-        x: _kde_score_for_vector(
-            c, w, feature, scored.vector(feature, x), x, sigma, sample_cap, seed
-        )
-        for x in cand
-    }
+    members = sorted(images_with_tag(c, w))
+    slot = {x: j for j, x in enumerate(members)}
+    source = c.feature(feature).matrix[np.array([c.index_of(x) for x in members], dtype=int)]
+    sigma = _kde_sigma(c, w, feature, sample_cap, seed)
+    picks: dict[int, np.ndarray] = {}  # support size -> sorted support positions
+    for size in {len(members) - (x in slot) for x in cand}:
+        if size > sample_cap:
+            rng = np.random.default_rng(seed)
+            picks[size] = np.sort(rng.choice(size, size=sample_cap, replace=False))
+        else:
+            picks[size] = np.arange(size)
+    scores: dict[str, float] = {}
+    for start in range(0, len(cand), 64):
+        block = cand[start : start + 64]
+        dist = pairwise_l1(np.stack([scored.vector(feature, x) for x in block]), source)
+        for row, x in zip(dist, block):
+            j = slot.get(x)
+            cols = picks[len(members) - (j is not None)]
+            d = row[cols] if j is None else row[cols + (cols >= j)]  # skip x's own slot
+            scores[x] = float(np.mean(np.exp(-(d * d) / (sigma * sigma)))) if len(d) else 0.0
     return ScoreTable(
         estimator=f"tagranking:{feature}",
         tag=w,

@@ -17,6 +17,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .collection import _read_lines
 from .estimators import ScoreTable
 
 EXACT_FLIP_LIMIT = 20
@@ -267,8 +268,7 @@ class Qrels:
 def read_qrels(path: str | Path) -> Qrels:
     path = Path(path)
     q = Qrels()
-    for no, line in enumerate(open(path, encoding="utf-8"), start=1):
-        line = line.rstrip("\n")
+    for no, line in _read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -325,8 +325,7 @@ def read_run(path: str | Path) -> RunFile:
     run_id: str | None = None
     rankings: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    for no, line in enumerate(open(path, encoding="utf-8"), start=1):
-        line = line.rstrip("\n")
+    for no, line in _read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

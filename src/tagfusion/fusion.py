@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .collection import Collection, tag_prior
+from .collection import Collection, _read_lines, tag_prior
 from .estimators import ScoreTable
 from .neighbors import WeightVector
 
@@ -186,8 +186,7 @@ def read_weights(path: str | Path) -> WeightVector:
     path = Path(path)
     names: list[str] = []
     weights: list[float] = []
-    for no, line in enumerate(open(path, encoding="utf-8"), start=1):
-        line = line.rstrip("\n")
+    for no, line in _read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -218,8 +217,7 @@ def read_concept_weights(path: str | Path) -> tuple[dict[str, WeightVector], fro
     path = Path(path)
     raw: dict[str, tuple[list[str], list[float]]] = {}
     fallbacks: set[str] = set()
-    for no, line in enumerate(open(path, encoding="utf-8"), start=1):
-        line = line.rstrip("\n")
+    for no, line in _read_lines(path):
         if not line.strip():
             continue
         if line.startswith("#"):

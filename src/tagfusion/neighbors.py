@@ -104,40 +104,18 @@ class DistanceNormalizer:
             raise CalibrationError("minmax bounds require lower < upper")
 
 
-def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Manhattan distance sum |a_j - b_j|; symmetric, zero iff a == b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("non-finite components")
-    return float(np.abs(a - b).sum())
+def pairwise_l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense (len(a), len(b)) L1 distance matrix, computed one row of `a` at a time.
 
-
-def l1_to_all(matrix: np.ndarray, query: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """L1 distance from `query` to every row of `matrix`."""
-    n = matrix.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        out[start:stop] = np.abs(matrix[start:stop] - query).sum(axis=1)
-    return out
-
-
-def pairwise_l1(a: np.ndarray, b: np.ndarray, chunk: int = 1) -> np.ndarray:
-    """Dense (len(a), len(b)) L1 distance matrix, computed in row chunks.
-
-    One row per chunk by default: its (len(b), dim) difference block stays in
-    cache. On a 2-core Xeon with numpy 2.4, 64-row chunks over 1k-8k x 8-64
-    matrices measured up to 2x slower.
+    One row's (len(b), dim) difference block stays in cache. On a 2-core Xeon
+    with numpy 2.4, 64-row chunks over 1k-8k x 8-64 matrices measured up to
+    2x slower.
     """
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for start in range(0, a.shape[0], chunk):
-        stop = min(start + chunk, a.shape[0])
-        out[start:stop] = np.abs(a[start:stop, None, :] - b[None, :, :]).sum(axis=2)
+    for i, row in enumerate(a):
+        out[i] = np.abs(row - b).sum(axis=1)
     return out
 
 
@@ -236,9 +214,8 @@ def _combined_to_all(
 
     `query_vecs` maps each feature to its (B, dim) query rows. `own[b]` is
     the index of query b in `c`, or -1 when it is not there; that slot is
-    nan and is no RankMax candidate.
+    no RankMax candidate, and callers set it to nan.
     """
-    rows = np.nonzero(own >= 0)[0]
     combined = np.zeros((len(own), len(c)), dtype=np.float64)
     for name, lam in zip(wv.names, wv.weights):
         norm = normalizers.get(name, DistanceNormalizer(mode="none"))
@@ -246,23 +223,7 @@ def _combined_to_all(
         d *= lam
         combined += d
         del d  # one feature's block alive at a time
-    combined[rows, own[rows]] = np.nan
     return combined
-
-
-def combined_distance(
-    c: Collection,
-    x: str,
-    x_other: str,
-    wv: WeightVector,
-    normalizers: Mapping[str, DistanceNormalizer] | None = None,
-) -> float:
-    """Weighted combination sum_i lambda_i * norm_i(d_i(x, x_other))."""
-    ix = c.index_of(x)
-    io = c.index_of(x_other)
-    query_vecs = {name: c.feature(name).matrix[ix : ix + 1] for name in wv.names}
-    combined = _combined_to_all(c, wv, query_vecs, np.array([ix]), normalizers or {})
-    return float(combined[0, io])
 
 
 def knn(
@@ -284,12 +245,12 @@ def knn(
     qi = c.index_of(query_id)
     if isinstance(feature_or_weights, str):
         matrix = c.feature(feature_or_weights).matrix
-        dist = l1_to_all(matrix, matrix[qi])
-        dist[qi] = np.nan
+        dist = pairwise_l1(matrix[qi : qi + 1], matrix)[0]
     else:
         wv = feature_or_weights
         query_vecs = {name: c.feature(name).matrix[qi : qi + 1] for name in wv.names}
         dist = _combined_to_all(c, wv, query_vecs, np.array([qi]), normalizers or {})[0]
+    dist[qi] = np.nan
     return _neighbor_list_from_distances(c, query_id, dist, k)
 
 

@@ -23,7 +23,6 @@ from .estimators import (
     vote_tables,
 )
 from .fusion import (
-    ScoreBounds,
     late_fuse,
     minmax_normalize,
     neighbor_vote_bounds,
@@ -70,7 +69,6 @@ class ScoreSettings:
     k: int = 500
     estimators: tuple[str, ...] = ()  # late-fusion inputs; default tagrel per feature
     kde_feature: str | None = None
-    kde_sigma: float | None = None
     kde_sample_cap: int = 500
     min_count: int = 1
     calib_sample_size: int = 10000
@@ -139,18 +137,25 @@ class EstimatorContext:
             self.c,
             tag,
             feature,
-            sigma=s.kde_sigma,
             sample_cap=s.kde_sample_cap,
             seed=derive_seed(s.seed, f"kde:{tag}"),
         )
 
-    def minmax_bounds(self, spec: str, tag: str, table: ScoreTable) -> ScoreBounds:
+    def minmax_table(self, spec: str, tag: str, table: ScoreTable) -> ScoreTable:
         kind, _ = _parse_estimator(spec)
         if kind == "tagrel":
-            return neighbor_vote_bounds(self.c, tag)
+            return minmax_normalize(table, neighbor_vote_bounds(self.c, tag))
         if kind in ("tagposition", "semanticfield"):
-            return unit_bounds()
-        return observed_bounds(table)  # KDE has no closed-form range
+            return minmax_normalize(table, unit_bounds())
+        # KDE has no closed-form range. A constant table (a tag on exactly
+        # two images, for one) has no observed range either; mapping it to
+        # 0.0 is a constant shift, which cannot reorder the fused run.
+        values = set(table.scores.values())
+        if len(values) == 1:
+            (value,) = values
+            meta = {**table.meta, "minmax_bounds": (value, value), "bounds_source": "constant"}
+            return ScoreTable(table.estimator, tag, dict.fromkeys(table.scores, 0.0), meta)
+        return minmax_normalize(table, observed_bounds(table))
 
     def normalized_tables(self, tag: str, norm: str) -> list[ScoreTable]:
         """The configured estimators' tables for `tag`, MinMax- or RankMax-normalized."""
@@ -158,7 +163,7 @@ class EstimatorContext:
         for spec in self.settings.estimators:
             base = self.base_table(spec, tag)
             if norm == "minmax":
-                tables.append(minmax_normalize(base, self.minmax_bounds(spec, tag, base)))
+                tables.append(self.minmax_table(spec, tag, base))
             else:
                 tables.append(rankmax_normalize(base))
         return tables

@@ -12,15 +12,13 @@ from tagfusion.collection import (
 )
 from tagfusion.estimators import (
     ScoreTable,
-    TagSimilarityModel,
     build_tag_similarity,
     early_fused_score,
-    early_fused_table,
+    kde_table,
     neighbor_vote,
     neighbor_vote_table,
     semantic_field_score,
     tag_position_score,
-    tag_ranking_kde_score,
     vote_tables,
 )
 from tagfusion.fusion import minmax_normalize, neighbor_vote_bounds, rankmax_normalize
@@ -28,6 +26,7 @@ from tagfusion.neighbors import NeighborList, WeightVector, calibrate_normalizer
 from tagfusion.presets import ScoreSettings, build_training_tables, derive_seed, score_preset
 
 from conftest import line_collection, make_collection
+from oracles import early_fused_table, from_pair_table, tag_ranking_kde_score
 
 
 def fabricate_neighbors(query, ids):
@@ -249,21 +248,21 @@ class TestTagSimilarity:
 class TestSemanticField:
     def test_singleton_tag_list(self):
         c = make_collection([("x", "u", ["w"])])
-        model = TagSimilarityModel.from_pair_table({})
+        model = from_pair_table({})
         assert semantic_field_score(c.record("x"), "w", model) == 0.0
 
     def test_upper_bound(self):
         c = make_collection([("x", "u", ["w", "a", "b"])])
-        model = TagSimilarityModel.from_pair_table({("w", "a"): 1.0, ("w", "b"): 1.0})
+        model = from_pair_table({("w", "a"): 1.0, ("w", "b"): 1.0})
         assert semantic_field_score(c.record("x"), "w", model) == 1.0
 
     def test_hand_mean(self):
         c = make_collection([("x", "u", ["w", "a", "b"])])
-        model = TagSimilarityModel.from_pair_table({("w", "a"): 0.2, ("w", "b"): 0.6})
+        model = from_pair_table({("w", "a"): 0.2, ("w", "b"): 0.6})
         assert semantic_field_score(c.record("x"), "w", model) == pytest.approx(0.4, abs=1e-9)
 
     def test_invariant_to_tag_order(self):
-        model = TagSimilarityModel.from_pair_table({("w", "a"): 0.3, ("w", "b"): 0.9})
+        model = from_pair_table({("w", "a"): 0.3, ("w", "b"): 0.9})
         c1 = make_collection([("x", "u", ["w", "a", "b"])])
         c2 = make_collection([("y", "u", ["b", "w", "a"])])
         assert semantic_field_score(c1.record("x"), "w", model) == semantic_field_score(
@@ -272,7 +271,7 @@ class TestSemanticField:
 
     def test_absent_tag(self):
         c = make_collection([("x", "u", ["a"])])
-        model = TagSimilarityModel.from_pair_table({})
+        model = from_pair_table({})
         with pytest.raises(ValueError):
             semantic_field_score(c.record("x"), "w", model)
 
@@ -466,6 +465,44 @@ class TestVotingEngineDifferential:
                             assert bits(table.scores) == bits(want.scores), (seed, k, norm, t, f)
                             checked += len(want.scores)
         assert checked > 4000
+
+
+class TestKdeDifferential:
+    """kde_table's candidate blocks bit for bit against the scalar oracle."""
+
+    def test_table_matches_per_candidate_oracle_on_tie_heavy_worlds(self):
+        checked = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            source = tie_heavy_world(rng, "s", 12 if seed < 5 else 200)  # 200: several blocks
+            shared = [
+                (rec.image_id, {f: source.vector(f, rec.image_id) for f in ("fa", "fb")})
+                for rec in source.images[2:6]
+            ]
+            bench = tie_heavy_world(rng, "b", 5, shared=shared)
+            for scored in (source, bench):
+                for tag in ("a", "b", "c", "solo", "absent"):
+                    members = images_with_tag(source, tag)
+                    m = len(members)  # support sizes: m - 1 and m
+                    # caps below, at and above each support size
+                    for cap in sorted({1, 500} | {max(m + d, 1) for d in (-2, -1, 0, 1)}):
+                        for kde_seed in (0, 987654321):
+                            for f in ("fa", "fb"):
+                                table = kde_table(
+                                    source, tag, f, sample_cap=cap, seed=kde_seed, scored=scored
+                                )
+                                expected = {
+                                    x: tag_ranking_kde_score(
+                                        source, x, tag, f, sample_cap=cap, seed=kde_seed,
+                                        scored=scored,
+                                    )
+                                    if members - {x} else 0.0  # no support: scores 0.0
+                                    for x in sorted(images_with_tag(scored, tag))
+                                }
+                                key = (seed, scored is source, tag, cap, kde_seed, f)
+                                assert bits(table.scores) == bits(expected), key
+                                checked += len(expected)
+        assert checked > 5000
 
 
 def bits(scores):

@@ -21,9 +21,10 @@ from tagfusion.learning import (
     sample_pairs,
     simplex_project,
 )
-from tagfusion.neighbors import DistanceNormalizer, WeightVector, l1_distance
+from tagfusion.neighbors import DistanceNormalizer, WeightVector
 
 from conftest import make_collection
+from oracles import l1_distance
 
 
 def grid_ap_oracle(tables, relevant, resolution=0.005, metric="ap"):

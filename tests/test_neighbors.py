@@ -7,13 +7,12 @@ from tagfusion.neighbors import (
     WeightVector,
     _percentile_upper,
     calibrate_normalizer,
-    combined_distance,
     knn,
-    l1_distance,
     pairwise_l1,
 )
 
 from conftest import line_collection, make_collection
+from oracles import combined_distance, l1_distance
 
 
 class TestL1:
@@ -44,7 +43,7 @@ class TestL1:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(7, 4))
         b = rng.normal(size=(9, 4))
-        d = pairwise_l1(a, b, chunk=3)
+        d = pairwise_l1(a, b)
         for i in range(7):
             for j in range(9):
                 assert d[i, j] == l1_distance(a[i], b[j])

@@ -493,3 +493,70 @@ class TestCliMisc:
         assert main(["score"]) != 0
         assert main(["eval"]) != 0
         assert main(["learn"]) != 0
+
+    @pytest.mark.parametrize(
+        "config, tags_text, message",
+        [
+            ("preset = tagrel-visa\nk = abc\n", None, "{cfg}:2: k: invalid literal for int()"),
+            ("# comment\nbogus = 1\n", None, "{cfg}:2: unknown config key 'bogus'"),
+            ("", "a\tu\tsky\nb\tu\tsea\na\tu\tsun\n", "{tags}:3: duplicate image_id 'a'"),
+        ],
+        ids=["bad-value", "unknown-key", "duplicate-id"],
+    )
+    def test_malformed_input_names_file_and_line(self, tmp_path, capsys, config, tags_text, message):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(config)
+        tags = tmp_path / "tags.tsv"
+        tags.write_text(tags_text or "a\tu\tsky\nb\tu\tsea\n")
+        feats = tmp_path / "visa.tsv"
+        feats.write_text("#feature\tvisa\t1\na\t0.0\nb\t1.0\n")
+        code = main([
+            "score", "--config", str(cfg), "--tags", str(tags), "--features", str(feats),
+            "--preset", "tagrel-visa", "--out", str(tmp_path / "r.run"),
+        ])
+        assert code == 2
+        assert message.format(cfg=cfg, tags=tags) in capsys.readouterr().err
+
+
+class TestCliKdeOnSmallTags:
+    """tagranking on tags that label one or two images."""
+
+    def files(self, tmp_path):
+        rows = [  # (id, tags, visa)
+            ("x1", "many pair", "0.0,0.0"),
+            ("x2", "many pair", "0.5,0.1"),
+            ("x3", "many", "0.2,0.9"),
+            ("x4", "many", "0.7,0.4"),
+            ("x5", "solo", "3.0,1.0"),
+            ("x6", "", "1.0,1.0"),
+        ]
+        tags = tmp_path / "tags.tsv"
+        tags.write_text("".join(f"{i}\tu\t{t}\n" for i, t, _ in rows))
+        feats = tmp_path / "visa.tsv"
+        feats.write_text("#feature\tvisa\t2\n" + "".join(f"{i}\t{v}\n" for i, _, v in rows))
+        return str(tags), str(feats)
+
+    def test_one_image_tag_scores_zero(self, tmp_path):
+        tags, feats = self.files(tmp_path)
+        run_path = tmp_path / "kde.run"
+        assert main([
+            "score", "--tags", tags, "--features", feats, "--preset", "tagranking",
+            "--out", str(run_path),
+        ]) == 0
+        run = read_run(run_path)
+        assert run.rankings["solo"] == (("x5", 0.0),)
+        assert len(run.rankings["many"]) == 4
+
+    def test_constant_kde_table_fuses_as_a_constant_shift(self, tmp_path):
+        tags, feats = self.files(tmp_path)
+        # on a two-image tag both candidates get the same kernel value
+        fused, single = tmp_path / "fused.run", tmp_path / "single.run"
+        for preset, extra, out in (
+            ("late-minmax-average", ["--estimators", "tagrel:visa,tagranking:visa"], fused),
+            ("tagrel-visa", [], single),
+        ):
+            assert main([
+                "score", "--tags", tags, "--features", feats, "--preset", preset,
+                "--query-tags", "pair", "--k", "2", "--out", str(out), *extra,
+            ]) == 0
+        assert read_run(fused).ranking("pair") == read_run(single).ranking("pair")
