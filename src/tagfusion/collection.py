@@ -337,8 +337,8 @@ class SyntheticConfig:
             raise ValueError("q_correct and q_incorrect must lie in [0, 1]")
         if self.q_correct <= self.q_incorrect:
             raise ValueError("q_correct must exceed q_incorrect")
-        if self.cluster_spread <= 0:
-            raise ValueError("cluster_spread must be positive")
+        if not (np.isfinite(self.cluster_spread) and self.cluster_spread > 0):
+            raise ValueError("cluster_spread must be finite and positive")
 
 
 def generate_collection(cfg: SyntheticConfig) -> tuple[Collection, dict[str, frozenset[str]]]:

@@ -21,10 +21,11 @@ from .neighbors import (
     DistanceNormalizer,
     NeighborList,
     WeightVector,
-    _combined_to_all,
     _distinct_pairs,
+    distance_block,
     knn,
     pairwise_l1,
+    top_k,
 )
 
 
@@ -104,47 +105,6 @@ def early_fused_score(
     return neighbor_vote(c, nl, w, k)
 
 
-def _top_k(dist: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
-    """Mask of the k smallest entries of each row, nan slots never taken.
-
-    Among entries equal to the k-th smallest distance, those with the
-    lowest `id_rank` fill the remaining slots, which is knn's
-    distance-then-id order. Rows with fewer than k non-nan entries take
-    them all.
-    """
-    if k >= dist.shape[1]:
-        return ~np.isnan(dist)
-    kth = np.array([np.partition(row, k - 1)[k - 1] for row in dist])[:, None]  # nan sorts last
-    taken = dist < kth
-    tie = dist == kth
-    room = k - taken.sum(axis=1)
-    for r in np.nonzero(tie.sum(axis=1) > room)[0]:  # more ties than free slots
-        cols = np.nonzero(tie[r])[0]
-        tie[r, cols[np.argsort(id_rank[cols])[room[r] :]]] = False
-    return taken | tie
-
-
-def _distance_block(
-    c: Collection,
-    scored: Collection,
-    block: Sequence[str],
-    metric: str | WeightVector,
-    normalizers: Mapping[str, DistanceNormalizer] | None,
-) -> np.ndarray:
-    """(len(block), n) distances from scored images to the source; a
-    query's own slot is nan."""
-    own = np.array([c.index_of(x) if x in c else -1 for x in block])
-    names = [metric] if isinstance(metric, str) else list(dict.fromkeys(metric.names))
-    qvecs = {f: np.stack([scored.vector(f, x) for x in block]) for f in names}
-    if isinstance(metric, str):
-        dist = pairwise_l1(qvecs[metric], c.feature(metric).matrix)
-    else:
-        dist = _combined_to_all(c, metric, qvecs, own, normalizers or {})
-    rows = np.nonzero(own >= 0)[0]
-    dist[rows, own[rows]] = np.nan
-    return dist
-
-
 def vote_tables(
     c: Collection,
     tags: Sequence[str],
@@ -173,21 +133,21 @@ def vote_tables(
     wanted = set(tags)
     cand = sorted(set().union(*(images_with_tag(scored, w) for w in wanted)))
     if isinstance(metric, str):
-        estimator, meta = f"tagrel:{metric}", {}
+        estimator, meta, features = f"tagrel:{metric}", {}, {metric}
     else:
-        estimator, meta = "earlyfuse", {"weights": metric}
-    columns: dict[str, np.ndarray] = {}  # tag -> indices of its source images
+        estimator, meta, features = "earlyfuse", {"weights": metric}, set(metric.names)
+    columns = {w: np.fromiter(map(c.index_of, images_with_tag(c, w)), int) for w in wanted}
     votes: dict[str, list[np.ndarray]] = {w: [] for w in wanted}
     for start in range(0, len(cand), 64):
         block = cand[start : start + 64]
-        taken = _top_k(_distance_block(c, scored, block, metric, normalizers), k, c.id_rank)
+        own = np.array([c.index_of(x) if x in c else -1 for x in block])
+        qvecs = {f: np.stack([scored.vector(f, x) for x in block]) for f in features}
+        taken = top_k(distance_block(c, metric, qvecs, own, normalizers), k, c.id_rank)
         carriers: dict[str, list[int]] = {}
         for b, x in enumerate(block):
             for w in wanted.intersection(scored.record(x).tags):
                 carriers.setdefault(w, []).append(b)
         for w, bs in carriers.items():
-            if w not in columns:
-                columns[w] = np.array([c.index_of(x) for x in images_with_tag(c, w)], dtype=int)
             votes[w].append(taken[np.ix_(bs, columns[w])].sum(axis=1))
     tables: dict[str, ScoreTable] = {}
     for w in tags:

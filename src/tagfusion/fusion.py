@@ -182,6 +182,13 @@ def write_weights(path: str | Path, wv: WeightVector) -> None:
             fh.write(f"{name}\t{w!r}\n")
 
 
+def _normalized(names: list[str], weights: list[float], where: str) -> WeightVector:
+    try:
+        return WeightVector.normalized(names, weights)
+    except ValueError as exc:  # e.g. every weight is 0
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_weights(path: str | Path) -> WeightVector:
     path = Path(path)
     names: list[str] = []
@@ -196,7 +203,7 @@ def read_weights(path: str | Path) -> WeightVector:
         weights.append(_parse_weight(parts[1], path, no))
     if not names:
         raise ValueError(f"{path}: no weights found")
-    return WeightVector.normalized(names, weights)
+    return _normalized(names, weights, str(path))
 
 
 def write_concept_weights(
@@ -215,7 +222,7 @@ def write_concept_weights(
 
 def read_concept_weights(path: str | Path) -> tuple[dict[str, WeightVector], frozenset[str]]:
     path = Path(path)
-    raw: dict[str, tuple[list[str], list[float]]] = {}
+    raw: dict[str, tuple[int, list[str], list[float]]] = {}  # tag -> first line, names, weights
     fallbacks: set[str] = set()
     for no, line in _read_lines(path):
         if not line.strip():
@@ -229,12 +236,12 @@ def read_concept_weights(path: str | Path) -> tuple[dict[str, WeightVector], fro
         if len(parts) != 3:
             raise ValueError(f"{path}:{no}: expected 'tag<TAB>name<TAB>weight'")
         tag, name, w = parts
-        names, weights = raw.setdefault(tag, ([], []))
+        _, names, weights = raw.setdefault(tag, (no, [], []))
         names.append(name)
         weights.append(_parse_weight(w, path, no))
     if not raw:
         raise ValueError(f"{path}: no weights found")
     return (
-        {tag: WeightVector.normalized(n, w) for tag, (n, w) in raw.items()},
+        {t: _normalized(n, w, f"{path}:{no}: tag {t!r}") for t, (no, n, w) in raw.items()},
         frozenset(fallbacks),
     )

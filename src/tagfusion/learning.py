@@ -170,19 +170,15 @@ def pair_feature_distances(
     Distances feeding the metric learner are MinMax-normalized (rank
     normalization is query-relative and has no meaning for a symmetric pair).
     """
-    normalizers = normalizers or {}
     ia = np.array([c.index_of(p.x) for p in pairs], dtype=np.intp)
     ib = np.array([c.index_of(p.x_other) for p in pairs], dtype=np.intp)
     out = np.empty((len(pairs), len(features)), dtype=np.float64)
     for j, f in enumerate(features):
-        norm = normalizers.get(f, DistanceNormalizer(mode="none"))
+        norm = (normalizers or {}).get(f, DistanceNormalizer(mode="none"))
         if norm.mode == "rankmax":
             raise ValueError("rankmax normalization is undefined for image pairs")
         matrix = c.feature(f).matrix
-        d = np.abs(matrix[ia] - matrix[ib]).sum(axis=1)
-        if norm.mode == "minmax":
-            d = np.clip((d - norm.lower) / (norm.upper - norm.lower), 0.0, 1.0)
-        out[:, j] = d
+        out[:, j] = norm.apply(np.abs(matrix[ia] - matrix[ib]).sum(axis=1))
     return out
 
 
@@ -290,6 +286,9 @@ class AscentConfig:
     def __post_init__(self) -> None:
         if self.metric not in ("ap", "ndcg"):
             raise ValueError(f"unknown metric {self.metric!r}")
+        for name in ("delta0", "growth", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.delta0 <= 0 or self.tol <= 0 or self.steps < 1:
             raise ValueError("delta0 > 0, tol > 0, steps >= 1 required")
         if self.growth <= 1.0:

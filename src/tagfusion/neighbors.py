@@ -103,6 +103,23 @@ class DistanceNormalizer:
         if self.mode == "minmax" and not self.lower < self.upper:
             raise CalibrationError("minmax bounds require lower < upper")
 
+    def apply(self, d: np.ndarray) -> np.ndarray:
+        """Normalize distances `d` in place and return it; nan entries stay nan.
+
+        RankMax works on (B, n) blocks: each row's candidates are its
+        non-nan entries.
+        """
+        if self.mode == "minmax":
+            d -= self.lower
+            d /= self.upper - self.lower
+            np.clip(d, 0.0, 1.0, out=d)
+        elif self.mode == "rankmax":  # fraction of candidate images strictly closer
+            for row in d:
+                valid = ~np.isnan(row)
+                candidates = np.sort(row[valid])
+                row[valid] = np.searchsorted(candidates, row[valid], side="left") / len(candidates)
+        return d
+
 
 def pairwise_l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense (len(a), len(b)) L1 distance matrix, computed one row of `a` at a time.
@@ -152,8 +169,6 @@ def calibrate_normalizer(
     MinMax bounds are lower = 0 and upper = the 99.5th percentile of L1
     distances over `sample_size` seeded random image pairs.
     """
-    if mode not in NORMALIZER_MODES:
-        raise ValueError(f"unknown normalizer mode {mode!r}")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     if mode != "minmax":
@@ -184,46 +199,54 @@ def calibrate_normalizers(
     }
 
 
-def _normalized_l1(
-    c: Collection, name: str, query_vecs: np.ndarray, own: np.ndarray, norm: DistanceNormalizer
-) -> np.ndarray:
-    """(B, n) L1 distances of feature `name` passed through `norm`; RankMax
-    skips the query's own slot `own[b]` (-1: none) as a candidate."""
-    d = pairwise_l1(query_vecs, c.feature(name).matrix)
-    if norm.mode == "minmax":
-        d -= norm.lower
-        d /= norm.upper - norm.lower
-        np.clip(d, 0.0, 1.0, out=d)
-    elif norm.mode == "rankmax":  # fraction of candidate images strictly closer
-        for b, row in enumerate(d):
-            candidates = np.delete(row, own[b]) if own[b] >= 0 else row
-            if len(candidates) == 0:
-                raise ValueError("rankmax normalization needs at least one candidate image")
-            d[b] = np.searchsorted(np.sort(candidates), row, side="left") / len(candidates)
-    return d
-
-
-def _combined_to_all(
+def distance_block(
     c: Collection,
-    wv: WeightVector,
+    metric: str | WeightVector,
     query_vecs: Mapping[str, np.ndarray],
     own: np.ndarray,
-    normalizers: Mapping[str, DistanceNormalizer],
+    normalizers: Mapping[str, DistanceNormalizer] | None = None,
 ) -> np.ndarray:
-    """(B, n) combined distances from B queries to every image of `c`.
+    """(B, n) distances from B query rows to every image of `c`.
 
-    `query_vecs` maps each feature to its (B, dim) query rows. `own[b]` is
-    the index of query b in `c`, or -1 when it is not there; that slot is
-    no RankMax candidate, and callers set it to nan.
+    `metric` is a feature name (raw L1) or a WeightVector (the combined
+    distance; normalizers default to pass-through). `query_vecs` maps each
+    feature to its (B, dim) query rows, and `own[b]` is the index of query b
+    in `c`, or -1 when it is not there. That slot is nan in every feature's
+    block before normalization: a query is never its own neighbor nor a
+    RankMax candidate.
     """
+    if isinstance(metric, str):
+        d = pairwise_l1(query_vecs[metric], c.feature(metric).matrix)
+        d[own >= 0, own[own >= 0]] = np.nan
+        return d
     combined = np.zeros((len(own), len(c)), dtype=np.float64)
-    for name, lam in zip(wv.names, wv.weights):
-        norm = normalizers.get(name, DistanceNormalizer(mode="none"))
-        d = _normalized_l1(c, name, query_vecs[name], own, norm)
+    for name, lam in zip(metric.names, metric.weights):
+        d = distance_block(c, name, query_vecs, own)
+        (normalizers or {}).get(name, DistanceNormalizer(mode="none")).apply(d)
         d *= lam
         combined += d
         del d  # one feature's block alive at a time
     return combined
+
+
+def top_k(dist: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
+    """Mask of the k smallest entries of each row, nan slots never taken.
+
+    Among entries equal to the k-th smallest distance, those with the
+    lowest `id_rank` fill the remaining slots, which is knn's
+    distance-then-id order. Rows with fewer than k non-nan entries take
+    them all.
+    """
+    if k >= dist.shape[1]:
+        return ~np.isnan(dist)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]  # nan sorts last
+    taken = dist < kth
+    tie = dist == kth
+    room = k - taken.sum(axis=1)
+    for r in np.nonzero(tie.sum(axis=1) > room)[0]:  # more ties than free slots
+        cols = np.nonzero(tie[r])[0]
+        tie[r, cols[np.argsort(id_rank[cols])[room[r] :]]] = False
+    return taken | tie
 
 
 def knn(
@@ -243,24 +266,9 @@ def knn(
     if k < 1:
         raise ValueError("k must be >= 1")
     qi = c.index_of(query_id)
-    if isinstance(feature_or_weights, str):
-        matrix = c.feature(feature_or_weights).matrix
-        dist = pairwise_l1(matrix[qi : qi + 1], matrix)[0]
-    else:
-        wv = feature_or_weights
-        query_vecs = {name: c.feature(name).matrix[qi : qi + 1] for name in wv.names}
-        dist = _combined_to_all(c, wv, query_vecs, np.array([qi]), normalizers or {})[0]
-    dist[qi] = np.nan
-    return _neighbor_list_from_distances(c, query_id, dist, k)
-
-
-def _neighbor_list_from_distances(
-    c: Collection, query_id: str, dist: np.ndarray, k: int
-) -> NeighborList:
-    """Assemble a NeighborList from a distance vector (query slot = nan)."""
-    valid = ~np.isnan(dist)
-    idx = np.nonzero(valid)[0]
-    order = np.lexsort((c.id_rank[idx], dist[idx]))
-    take = idx[order[: min(k, len(idx))]]
+    query_vecs = {f: fm.matrix[qi : qi + 1] for f, fm in c.features.items()}
+    dist = distance_block(c, feature_or_weights, query_vecs, np.array([qi]), normalizers)[0]
+    idx = np.nonzero(~np.isnan(dist))[0]
+    take = idx[np.lexsort((c.id_rank[idx], dist[idx]))[:k]]
     entries = tuple((c.images[i].image_id, float(dist[i])) for i in take)
     return NeighborList(query_id=query_id, entries=entries)

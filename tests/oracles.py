@@ -11,7 +11,7 @@ import numpy as np
 
 from tagfusion.collection import Collection, images_with_tag
 from tagfusion.estimators import ScoreTable, TagSimilarityModel, _kde_sigma, vote_tables
-from tagfusion.neighbors import DistanceNormalizer, WeightVector, _combined_to_all
+from tagfusion.neighbors import DistanceNormalizer, WeightVector, distance_block
 
 
 def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -36,9 +36,23 @@ def combined_distance(
     ix = c.index_of(x)
     io = c.index_of(x_other)
     query_vecs = {name: c.feature(name).matrix[ix : ix + 1] for name in wv.names}
-    combined = _combined_to_all(c, wv, query_vecs, np.array([ix]), normalizers or {})
-    combined[0, ix] = np.nan
-    return float(combined[0, io])
+    return float(distance_block(c, wv, query_vecs, np.array([ix]), normalizers)[0, io])
+
+
+def rankmax_rows(d: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """RankMax of a raw (B, n) distance block, one row at a time.
+
+    Row b's candidates are its entries without the query's own slot
+    `own[b]` (-1: none), removed with np.delete; every entry becomes the
+    fraction of candidates strictly below it, and the own slot is nan.
+    """
+    out = np.array(d, dtype=np.float64)
+    for b, row in enumerate(out):
+        candidates = np.delete(row, own[b]) if own[b] >= 0 else row
+        out[b] = np.searchsorted(np.sort(candidates), row, side="left") / len(candidates)
+        if own[b] >= 0:
+            out[b, own[b]] = np.nan
+    return out
 
 
 def early_fused_table(

@@ -539,12 +539,12 @@ class TestOneNeighborPassPerImage:
         return sum(rows)
 
     def test_single_feature_votes_search_each_tagged_image_once(self, monkeypatch):
-        import tagfusion.estimators as estimators
+        import tagfusion.neighbors as neighbors
 
         c, tagged = self.world()
         settings = ScoreSettings(features=("fa", "fb"), k=20)
         rows = self.count_rows(
-            monkeypatch, estimators, lambda: score_preset(c, "tagrel-fa", settings)
+            monkeypatch, neighbors, lambda: score_preset(c, "tagrel-fa", settings)
         )
         assert 0 < rows <= tagged
 

@@ -189,14 +189,15 @@ def full_exact_p(a, b):
     """Exact sign-flip p-value over all 2^n sign vectors, row-wise np.sum."""
     diffs = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     n = len(diffs)
-    observed = abs(float(np.sum(diffs)))
     codes = np.arange(1 << n, dtype=np.uint64)
     bits = 1 << np.arange(n, dtype=np.uint64)
     count = 0
-    for start in range(0, len(codes), 1 << 16):
-        block = codes[start : start + (1 << 16)]
-        signs = np.where((block[:, None] & bits[None, :]) != 0, -1.0, 1.0)
-        count += int((np.abs(np.sum(signs * diffs, axis=1)) >= observed).sum())
+    with np.errstate(over="ignore"):  # huge diffs may sum to inf, as in randomization_test
+        observed = abs(float(np.sum(diffs)))
+        for start in range(0, len(codes), 1 << 16):
+            block = codes[start : start + (1 << 16)]
+            signs = np.where((block[:, None] & bits[None, :]) != 0, -1.0, 1.0)
+            count += int((np.abs(np.sum(signs * diffs, axis=1)) >= observed).sum())
     return count / (1 << n)
 
 

@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagfusion.estimators import ScoreTable
 from tagfusion.fusion import (
@@ -114,8 +119,40 @@ class TestRankMax:
         with pytest.raises(ValueError):
             rankmax_normalize(table({}))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(values=st.lists(st.integers(-20, 20).map(lambda v: v / 4), min_size=1, max_size=15))
+    def test_invariant_under_strictly_increasing_score_transforms(self, values):
+        base = table({f"c{i:02d}": v for i, v in enumerate(values)})
+        want = rankmax_normalize(base).scores
+        for transform in (lambda x: x**3 + x, math.exp, lambda x: math.atan(x) - 9.0):
+            moved = table({x: transform(v) for x, v in base.scores.items()})
+            assert rankmax_normalize(moved).scores == want
+
 
 class TestLateFuse:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        quantize=st.sampled_from([None, 4]),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_permuting_tables_with_their_weights_is_bit_identical(
+        self, m, n, seed, quantize, order
+    ):
+        rng = np.random.default_rng(seed)
+        tables = random_tables(rng, m, n, quantize)
+        wv = WeightVector.normalized([t.estimator for t in tables], rng.random(m) + 0.01)
+        perm = list(range(m))
+        order.shuffle(perm)
+        permuted = WeightVector(
+            tuple(wv.names[i] for i in perm), tuple(wv.weights[i] for i in perm)
+        )
+        got = late_fuse([tables[i] for i in perm], permuted).scores
+        want = late_fuse(tables, wv).scores
+        assert {x: s.hex() for x, s in got.items()} == {x: s.hex() for x, s in want.items()}
+
     def test_hand_value(self):
         t1 = table({"a": 0.2}, estimator="e0")
         t2 = table({"a": 0.4}, estimator="e1")
@@ -243,6 +280,19 @@ class TestWeightFiles:
         path = tmp_path / "c.tsv"
         path.write_text(f"sky\ta\t0.5\nsky\tb\t{bad}\n")
         with pytest.raises(ValueError, match=r"c\.tsv:2: weight must be finite and nonnegative"):
+            read_concept_weights(path)
+
+    def test_all_zero_global_weights_name_the_file(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("# global\na\t0\nb\t0.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: weights sum to zero")):
+            read_weights(path)
+
+    def test_all_zero_concept_weights_name_line_and_tag(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("# fallback: sea\nsky\ta\t0.5\nsky\tb\t0.5\nsea\ta\t0\nsea\tb\t0\n")
+        message = f"{path}:4: tag 'sea': weights sum to zero"
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_concept_weights(path)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -300,6 +300,12 @@ class TestCoordinateAscent:
         with pytest.raises(ValueError, match="cutoff must be >= 1"):
             AscentConfig(metric="ndcg", cutoff=cutoff)
 
+    @pytest.mark.parametrize("name", ["delta0", "growth", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_step_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AscentConfig(**{name: value})
+
     def test_concept_metric_equals_evaluation_bit_for_bit(self):
         # with one table at weight 1 the ascent ranks exactly as the table
         # does, so its metric must be evalkit's to the last bit

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagfusion.neighbors import (
     CalibrationError,
@@ -12,7 +14,7 @@ from tagfusion.neighbors import (
 )
 
 from conftest import line_collection, make_collection
-from oracles import combined_distance, l1_distance
+from oracles import combined_distance, l1_distance, rankmax_rows
 
 
 class TestL1:
@@ -319,3 +321,47 @@ class TestKnn:
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda q: knn(c, "f", q, 8), queries))
         assert threaded == serial
+
+
+@st.composite
+def distance_blocks(draw, quantized=st.booleans()):
+    """(B, n) raw distances with own slots: quantized (tie-heavy) or free
+    floats, some rows repeated, each own slot -1 or an index in the row."""
+    n = draw(st.integers(2, 12))
+    if draw(quantized):
+        values = st.integers(0, 40).map(lambda v: v / 4)
+    else:
+        values = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=5))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    own = draw(st.lists(st.integers(-1, n - 1), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=np.float64), np.array(own)
+
+
+def with_own_nan(d, own):
+    d = d.copy()
+    rows = np.nonzero(own >= 0)[0]
+    d[rows, own[rows]] = np.nan
+    return d
+
+
+class TestRankMaxApply:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(block=distance_blocks())
+    def test_block_matches_per_row_oracle_bitwise(self, block):
+        d, own = block
+        got = DistanceNormalizer("rankmax").apply(with_own_nan(d, own))
+        assert got.tobytes() == rankmax_rows(d, own).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(block=distance_blocks(quantized=st.just(True)))
+    def test_invariant_under_strictly_increasing_transforms(self, block):
+        d, own = block  # on this grid each transform stays strictly increasing in floats
+        norm = DistanceNormalizer("rankmax")
+        want = norm.apply(with_own_nan(d, own)).tobytes()
+        for transform in (lambda x: x**3 + 7.0, np.sqrt, lambda x: -np.exp(-x)):
+            assert norm.apply(with_own_nan(transform(d), own)).tobytes() == want
+
+    def test_row_without_candidates_stays_nan(self):
+        got = DistanceNormalizer("rankmax").apply(np.array([[np.nan], [2.0]]))
+        assert got.tobytes() == np.array([[np.nan], [0.0]]).tobytes()

@@ -204,6 +204,13 @@ class TestCliSynth:
         assert code != 0
         assert "q_correct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cluster_spread_refused(self, tmp_path, capsys, value):
+        out = tmp_path / "world"
+        assert main(["synth", "--out", str(out), "--cluster-spread", value]) == 2
+        assert "error: cluster_spread must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliScoreLearnEval:
     def pipeline_files(self, tmp_path, seed=17):
@@ -275,6 +282,46 @@ class TestCliScoreLearnEval:
             outs.append(out)
         for name in ("weights-global.tsv", "weights-concepts.tsv", "learn.log"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("delta0", "nan"),
+            ("growth", "nan"),
+            ("tol", "nan"),
+            ("delta0", "inf"),
+            ("growth", "inf"),
+        ],
+    )
+    def test_learn_rejects_non_finite_ascent_settings(self, tmp_path, capsys, flag, value):
+        tags, feats, qrels = self.pipeline_files(tmp_path)
+        out = tmp_path / "learned"
+        assert main([
+            "learn", "--tags", tags, "--features", feats, "--qrels", qrels,
+            "--k", "10", "--out", str(out), f"--{flag}", value,
+        ]) == 2
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_score_names_the_weight_file_that_sums_to_zero(self, tmp_path, capsys):
+        tags, feats, _ = self.pipeline_files(tmp_path)
+        weights = tmp_path / "w.tsv"
+        weights.write_text("# global\nvisa\t0\nvisb\t0\n")
+        concept_weights = tmp_path / "c.tsv"
+        concept_weights.write_text("w0\tvisa\t1\nw0\tvisb\t0\nw1\tvisa\t0\nw1\tvisb\t0\n")
+        for preset, flag, path, where in (
+            ("early-minmax-learning", "--weights", weights, f"{weights}:"),
+            (
+                "early-minmax-learning+", "--concept-weights", concept_weights,
+                f"{concept_weights}:3: tag 'w1':",
+            ),
+        ):
+            assert main([
+                "score", "--tags", tags, "--features", feats, "--preset", preset,
+                flag, str(path), "--k", "10", "--out", str(tmp_path / "r.run"),
+            ]) == 2
+            assert f"error: {where} weights sum to zero" in capsys.readouterr().err
+        assert not (tmp_path / "r.run").exists()
 
     @pytest.mark.parametrize("cutoff", ["0", "-5"])
     def test_learn_rejects_cutoff_below_one(self, tmp_path, capsys, cutoff):
