@@ -78,6 +78,54 @@ def _positive_codes(labels: np.ndarray) -> np.ndarray | None:
     return np.unique(np.concatenate(codes))
 
 
+def _sample_sizes(n_pos: int, n_neg: int, n_pairs: int) -> tuple[int, int]:
+    """Pairs to take from each listed class: half each where possible; a
+    scarce class gives all its pairs and the other tops the sample up."""
+    if not n_pos:
+        raise ValueError("no positive pairs available")
+    if not n_neg:
+        raise ValueError("no negative pairs available")
+    want_pos = min(n_pairs // 2, n_pos)
+    want_neg = min(n_pairs - want_pos, n_neg)
+    if want_neg < n_pairs - want_pos:  # negatives scarce: top up with positives
+        want_pos = min(n_pairs - want_neg, n_pos)
+    return want_pos, want_neg
+
+
+def _enumerated_sample(
+    rng: np.random.Generator, labels: np.ndarray, n_pairs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted codes a * n + b of the sampled positive and negative pairs, with
+    every pair listed by its lexicographic ordinal
+    t(a, b) = a * n - a * (a + 1) / 2 + (b - a - 1).
+
+    No (n x n) array is built: memory is the one-byte-per-pair mask of pairs
+    sharing a concept, eight bytes per positive pair for their ordinals, and
+    the permutation sampling each class, eight bytes per pair of that class.
+    """
+    n = len(labels)
+    rows = np.arange(n)
+    row_start = rows * (2 * n - rows - 1) // 2  # t(a, a + 1)
+    shared = np.zeros(n * (n - 1) // 2, dtype=bool)
+    for col in np.ascontiguousarray(labels.T):  # one concept's flags, contiguous
+        for a in np.flatnonzero(col[:-1]).tolist():  # mark its pairs (a, b > a)
+            shared[row_start[a]:row_start[a + 1]] |= col[a + 1:]
+    pos = np.flatnonzero(shared)
+    n_neg = len(shared) - len(pos)
+    del shared  # freed before the permutations, the largest arrays
+    want_pos, want_neg = _sample_sizes(len(pos), n_neg, n_pairs)
+    chosen = pos[np.sort(rng.permutation(len(pos))[:want_pos])]
+    pos -= np.arange(len(pos))  # negatives before each positive pair
+    neg = np.sort(rng.permutation(n_neg)[:want_neg])
+    neg += np.searchsorted(pos, neg, side="right")  # negative rank -> ordinal
+
+    def codes(t: np.ndarray) -> np.ndarray:
+        a = np.searchsorted(row_start, t, side="right") - 1
+        return a * n + (t - row_start[a] + a + 1)
+
+    return codes(chosen), codes(neg)
+
+
 def _draw_pairs(
     rng: np.random.Generator, labels: np.ndarray, want: int, positive: bool
 ) -> np.ndarray:
@@ -127,35 +175,19 @@ def sample_pairs(
     rng = np.random.default_rng(seed)
 
     total_pairs = n * (n - 1) // 2
-    neg: np.ndarray | None = None
     if total_pairs <= _ENUMERATE_LIMIT:
-        counts = labels.astype(np.float32)  # shared-concept counts are exact
-        shared = (counts @ counts.T) > 0
-        upper = ~np.tri(n, dtype=bool)
-        pos = np.flatnonzero(shared & upper)  # row-major = lexicographic (a, b)
-        neg = np.flatnonzero(upper & ~shared)
-    else:
-        pos = _positive_codes(labels)
+        pos, neg = _enumerated_sample(rng, labels, n_pairs)
+        return _labeled(universe, pos, 1) + _labeled(universe, neg, 0)
+    pos = _positive_codes(labels)
     if pos is None:  # too many positive pairs to list: draw both classes
         want_neg = n_pairs - n_pairs // 2
         pos = _draw_pairs(rng, labels, n_pairs // 2, positive=True)
     else:
-        n_neg = total_pairs - len(pos)
-        if not len(pos):
-            raise ValueError("no positive pairs available")
-        if not n_neg:
-            raise ValueError("no negative pairs available")
-        want_pos = min(n_pairs // 2, len(pos))
-        want_neg = min(n_pairs - want_pos, n_neg)
-        if want_neg < n_pairs - want_pos:  # negatives scarce: top up with positives
-            want_pos = min(n_pairs - want_neg, len(pos))
+        want_pos, want_neg = _sample_sizes(len(pos), total_pairs - len(pos), n_pairs)
         pos = pos[np.sort(rng.permutation(len(pos))[:want_pos])]
-    if neg is None:
-        neg = _draw_pairs(rng, labels, want_neg, positive=False)
-        if not len(neg):
-            raise ValueError("no negative pairs found within the sampling budget")
-    else:
-        neg = neg[np.sort(rng.permutation(len(neg))[:want_neg])]
+    neg = _draw_pairs(rng, labels, want_neg, positive=False)
+    if not len(neg):
+        raise ValueError("no negative pairs found within the sampling budget")
     return _labeled(universe, pos, 1) + _labeled(universe, neg, 0)
 
 

@@ -55,6 +55,10 @@ class WeightVector:
         if any(w < 0 for w in arr):
             raise ValueError("weights must be nonnegative")
         total = sum(arr)
+        if math.isinf(total):  # finite weights whose sum overflows
+            top = max(arr)
+            arr = [w / top for w in arr]
+            total = sum(arr)
         if total <= 0:
             raise ValueError("weights sum to zero; cannot normalize")
         return WeightVector(tuple(names), tuple(w / total for w in arr))

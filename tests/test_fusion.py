@@ -295,6 +295,15 @@ class TestWeightFiles:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_concept_weights(path)
 
+    def test_weights_whose_sum_overflows_normalize(self, tmp_path):
+        path = tmp_path / "w.tsv"
+        path.write_text("# global\na\t1e308\nb\t1e308\n")
+        assert read_weights(path).weights == (0.5, 0.5)
+        path = tmp_path / "c.tsv"
+        path.write_text("sky\ta\t1e308\nsky\tb\t1e308\n")
+        per, _ = read_concept_weights(path)
+        assert per["sky"].weights == (0.5, 0.5)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "w.tsv"
         path.write_text("# global\na\n")

@@ -242,3 +242,60 @@ def test_no_negatives_above_limit_raises():
     c, q = large_world({"c0": range(N_LARGE)})
     with pytest.raises(ValueError, match="negative"):
         sample_pairs(q, c, 10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# overlap extremes and memory of the enumerated branch
+# ---------------------------------------------------------------------------
+
+HEAVY_OVERLAP = (  # the concepts hold 57 pairs between them; only 45 pairs exist
+    [f"x{i}" for i in range(10)],
+    {
+        "c1": {f"x{i}": 1 for i in range(7)},
+        "c2": {f"x{i}": 1 for i in range(2, 9)},
+        "c3": {**{f"x{i}": 1 for i in (0, 1, 2, 3, 7, 8)}, "x9": 0},
+    },
+)
+ALL_BUT_ONE_POSITIVE = (  # (a, f) is the only pair sharing no concept
+    ["a", "b", "c", "d", "e", "f"],
+    {"c1": {i: 1 for i in "abcde"}, "c2": {i: 1 for i in "bcdef"}},
+)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 7, 14, 15, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("world", [HEAVY_OVERLAP, ALL_BUT_ONE_POSITIVE], ids=["heavy-overlap", "all-but-one"])
+def test_overlap_extremes_match_reference(world, n_pairs, seed):
+    c, q = build(world)
+    n = len(world[0])
+    got = assert_matches_reference(q, c, n_pairs, seed)
+    if world is HEAVY_OVERLAP:
+        sizes = [len(q.relevant(t)) for t in q.tags()]
+        assert sum(m * (m - 1) // 2 for m in sizes) > n * (n - 1) // 2
+    else:
+        assert [p for p in got if p.label == 0] == [LabeledPair("a", "f", 0)]
+    assert len(got) == min(n_pairs, n * (n - 1) // 2)
+
+
+def test_enumerated_sample_memory_per_pair():
+    """No (n x n) array: the traced peak stays near the one-byte mask plus the
+    eight bytes per negative pair of the permutation that draws them."""
+    import tracemalloc
+
+    n = 2000
+    ids = [f"i{v:04d}" for v in range(n)]
+    c = make_collection([(i, "u", []) for i in ids])
+    q = Qrels()
+    for v, i in enumerate(ids):
+        q.add(f"c{v % 20}", i, 1)
+    total = n * (n - 1) // 2
+    assert total <= learning._ENUMERATE_LIMIT
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = sample_pairs(q, c, 2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [p.label for p in pairs] == [1] * 1000 + [0] * 1000
+    assert peak <= 10 * total
