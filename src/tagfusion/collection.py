@@ -6,7 +6,9 @@ Everything is immutable after construction, so concurrent readers are safe.
 """
 from __future__ import annotations
 
+import math
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -226,7 +228,8 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
             raise CollectionError(f"{fpath}:{header_no}: dim must be positive")
         if name in features:
             raise CollectionError(f"{fpath}: duplicate feature name {name!r}")
-        rows: dict[str, np.ndarray] = {}
+        rows: dict[str, int] = {}  # image id -> its row in `parsed`
+        parsed = array("d")
         for no, line in lines[1:]:
             if not line.strip() or line.startswith("#"):
                 continue
@@ -249,23 +252,25 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
                     f"expected {dim}"
                 )
             try:
-                vec = np.array([float(v) for v in comps], dtype=np.float64)
+                vec = [float(v) for v in comps]
             except ValueError:
                 raise CollectionError(
                     f"{fpath}:{no}: unparseable component for image {image_id!r}"
                 ) from None
-            if not np.all(np.isfinite(vec)):
+            if not all(map(math.isfinite, vec)):
                 raise CollectionError(
                     f"{fpath}:{no}: non-finite component for image {image_id!r}"
                 )
-            rows[image_id] = vec
+            rows[image_id] = len(rows)
+            parsed.extend(vec)
         missing = [i for i in ids if i not in rows]
         if missing:
             raise CollectionError(
                 f"{fpath}: feature {name!r} missing image {missing[0]!r}"
                 + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
             )
-        matrix = np.stack([rows[i] for i in ids]) if ids else np.zeros((0, dim))
+        order = [rows[i] for i in ids]
+        matrix = np.frombuffer(parsed).reshape(-1, dim)[order] if ids else np.zeros((0, dim))
         features[name] = FeatureMatrix(name=name, dim=dim, matrix=matrix)
 
     return Collection(records, features)

@@ -88,6 +88,15 @@ class TestLoad:
         with pytest.raises(CollectionError, match="non-finite"):
             load_collection(tags, [feat])
 
+    def test_earliest_bad_feature_line_is_reported(self, tmp_path):
+        tags, _ = small_files(tmp_path)
+        feat = write(
+            tmp_path / "g.tsv",
+            "#feature\tg\t1\nx1\t0.5\nx2\tinf\nx1\t1.0\nx3\t1.0\n",
+        )
+        with pytest.raises(CollectionError, match=r"g\.tsv:3: non-finite component for image 'x2'"):
+            load_collection(tags, [feat])
+
     def test_duplicate_image_id_is_an_error(self, tmp_path):
         tags = write(tmp_path / "tags.tsv", "x1\tu1\tsky\nx1\tu2\tsea\n")
         with pytest.raises(CollectionError, match="duplicate image_id"):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from tagfusion.neighbors import (
     CalibrationError,
     DistanceNormalizer,
     WeightVector,
+    _CHUNK_BYTES,
     _percentile_upper,
     calibrate_normalizer,
     knn,
@@ -49,6 +53,29 @@ class TestL1:
         for i in range(7):
             for j in range(9):
                 assert d[i, j] == l1_distance(a[i], b[j])
+
+
+def mixed_scale_rows(rng, rows, dim):
+    """Normal components scaled by powers of ten from 1e-3 to 1e3."""
+    return rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-3, 4, size=(rows, dim))
+
+
+class TestL1Kernel:
+    @pytest.mark.parametrize(
+        "dim", [1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 136, 200, 257, 300]
+    )
+    def test_matches_numpy_row_sums_bitwise(self, dim):
+        # b sizes around the one where a chunk shrinks from 8 rows to 7
+        edge = _CHUNK_BYTES // (8 * 8)
+        rng = np.random.default_rng(dim)
+        for rows in (1, 2, 7, 65):
+            a = mixed_scale_rows(rng, rows, dim)
+            for size in (0, 1, 3, edge - 1, edge, edge + 1):
+                b = mixed_scale_rows(rng, size, dim)
+                b[: min(rows, size) // 2] = a[: min(rows, size) // 2]  # queries found in b
+                b[-1:] = b[:1]  # a duplicate vector within b
+                want = np.array([np.abs(row - b).sum(axis=1) for row in a]).reshape(rows, size)
+                assert np.array_equal(pairwise_l1(a, b), want), (rows, size)
 
 
 class TestWeightVector:
@@ -365,3 +392,82 @@ class TestRankMaxApply:
     def test_row_without_candidates_stays_nan(self):
         got = DistanceNormalizer("rankmax").apply(np.array([[np.nan], [2.0]]))
         assert got.tobytes() == np.array([[np.nan], [0.0]]).tobytes()
+
+    @pytest.mark.parametrize("quantum", [0.25, 1.0, 10.0])
+    def test_chunked_tie_heavy_block_matches_oracle(self, quantum):
+        # more rows than one chunk holds, so the block is ranked in chunks
+        rng = np.random.default_rng(int(quantum * 4))
+        n = _CHUNK_BYTES // (8 * 5)
+        d = np.round(rng.uniform(0, 30, size=(23, n)) / quantum) * quantum
+        d[7] = d[3]
+        own = rng.integers(-1, n, size=23)
+        own[:4] = -1
+        got = DistanceNormalizer("rankmax").apply(with_own_nan(d, own))
+        assert got.tobytes() == rankmax_rows(d, own).tobytes()
+
+    def test_all_tied_one_and_no_candidates(self):
+        nan = np.nan
+        d = np.array(
+            [
+                [2.0, 2.0, 2.0],  # every candidate ties
+                [nan, 4.0, nan],  # one candidate
+                [nan, nan, nan],  # none
+                [1.0, nan, 0.0],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = DistanceNormalizer("rankmax").apply(d)
+        want = np.array([[0.0, 0.0, 0.0], [nan, 0.0, nan], [nan, nan, nan], [0.5, nan, 0.0]])
+        assert got.tobytes() == want.tobytes()
+        assert got[[0]].tobytes() == rankmax_rows(np.full((1, 3), 2.0), np.array([-1])).tobytes()
+
+    def test_overflowing_distances_tie_with_the_own_slot(self):
+        # L1 between components of opposite sign near 1e308 overflows to +inf;
+        # those candidates sort together with the own slot yet keep their rank
+        rng = np.random.default_rng(11)
+        m = rng.choice([-1.5e308, -1.0, 0.0, 2.0, 1.5e308], size=(30, 2))
+        with np.errstate(over="ignore"):
+            d = pairwise_l1(m, m)
+        assert np.isinf(d).any() and not np.isnan(d).any()
+        own = np.arange(30)
+        own[::4] = -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = DistanceNormalizer("rankmax").apply(with_own_nan(d, own))
+        assert got.tobytes() == rankmax_rows(d, own).tobytes()
+
+    def test_strided_block_is_ranked_in_place(self):
+        d = np.round(np.random.default_rng(5).uniform(0, 9, size=(6, 40)))
+        own = np.array([0, -1, 5, 39, -1, 2])
+        want = rankmax_rows(d, own)
+        strided = np.asfortranarray(with_own_nan(d, own))
+        got = DistanceNormalizer("rankmax").apply(strided)
+        assert got is strided
+        assert np.ascontiguousarray(strided).tobytes() == want.tobytes()
+
+
+def traced_peak(fn):
+    """(result, peak bytes traced while `fn` ran, above what was held before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestKernelMemory:
+    def test_rankmax_block_works_in_small_chunks(self):
+        d = np.random.default_rng(0).uniform(size=(64, 8000))
+        d[np.arange(64), np.arange(64)] = np.nan
+        _, peak = traced_peak(lambda: DistanceNormalizer("rankmax").apply(d))
+        assert peak <= 2**20
+
+    def test_l1_holds_little_beyond_its_output(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.uniform(size=(64, 8)), rng.uniform(size=(8000, 8))
+        out, peak = traced_peak(lambda: pairwise_l1(a, b))
+        assert peak <= out.nbytes + 2 * 2**20
