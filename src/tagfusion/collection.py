@@ -177,7 +177,8 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
 
     Raises CollectionError naming the file, line, and offending image id for
     every format violation (missing row, dim mismatch, duplicate id,
-    non-finite value, duplicate tag).
+    non-finite value, duplicate tag), and naming the file and feature when
+    the feature's widest L1 distance, sum_j (max_j - min_j), is not finite.
     """
     tags_path = Path(tags_path)
     records: list[ImageRecord] = []
@@ -271,6 +272,14 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
             )
         order = [rows[i] for i in ids]
         matrix = np.frombuffer(parsed).reshape(-1, dim)[order] if ids else np.zeros((0, dim))
+        if ids:
+            with np.errstate(over="ignore", invalid="ignore"):
+                widest = float((matrix.max(axis=0) - matrix.min(axis=0)).sum())
+            if not math.isfinite(widest):
+                raise CollectionError(
+                    f"{fpath}: feature {name!r} has L1 distances that overflow: "
+                    "the widest, sum_j (max_j - min_j), exceeds the float range"
+                )
         features[name] = FeatureMatrix(name=name, dim=dim, matrix=matrix)
 
     return Collection(records, features)

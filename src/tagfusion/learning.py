@@ -5,10 +5,11 @@ gap between exp(-combined distance) and the pair label (1 = images share a
 concept) by projected gradient descent on the simplex. Late fusion weights
 come from coordinate ascent on a rank metric (AP or NDCG) of a float
 approximation of the fused ranking, with a bidirectional growing-step line
-search per coordinate. Both learners are deterministic given their seeds
-and record a monotone objective trace. Per-concept variants retrain for each
-tag and fall back to the global weights when a tag has too few relevant
-training items.
+search per coordinate whose candidates are scored in one batch, with the
+same float objective as scoring them one at a time. Both learners are
+deterministic given their seeds and record a monotone objective trace.
+Per-concept variants retrain for each tag and fall back to the global
+weights when a tag has too few relevant training items.
 """
 from __future__ import annotations
 
@@ -75,7 +76,21 @@ def _positive_codes(labels: np.ndarray) -> np.ndarray | None:
     for m in members:
         a, b = np.triu_indices(len(m), 1)
         codes.append(m[a] * n + m[b])
-    return np.unique(np.concatenate(codes))
+    codes = np.sort(np.concatenate(codes))
+    return codes[_run_starts(codes)]
+
+
+def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    starts = np.ones(len(sorted_codes), dtype=bool)
+    starts[1:] = sorted_codes[1:] != sorted_codes[:-1]
+    return starts
+
+
+def _first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of `codes`, each at its first occurrence, in order."""
+    order = np.argsort(codes, kind="stable")
+    return codes[np.sort(order[_run_starts(codes[order])])]
 
 
 def _sample_sizes(n_pos: int, n_neg: int, n_pairs: int) -> tuple[int, int]:
@@ -141,9 +156,7 @@ def _draw_pairs(
         a, b = rng.integers(0, n, size=(2, size))
         a, b = np.minimum(a, b), np.maximum(a, b)
         keep = (a != b) & ((bits[a] & bits[b]).any(axis=1) == positive)
-        got = np.concatenate([got, a[keep] * n + b[keep]])
-        _, first = np.unique(got, return_index=True)
-        got = got[np.sort(first)]  # distinct codes in draw order
+        got = _first_occurrences(np.concatenate([got, a[keep] * n + b[keep]]))
     return np.sort(got[:want])
 
 
@@ -352,10 +365,32 @@ class _ConceptEval:
         )
         self.rel = np.array([x in relevant for x in ids], dtype=bool)
 
-    def metric(self, w_norm: np.ndarray, metric: str, cutoff: int) -> float:
-        fused = self.matrix @ w_norm
-        order = np.argsort(-fused, kind="stable")  # ties by id: rows are id-sorted
+    def metric(self, w_norm: np.ndarray, metric: str, cutoff: int) -> float | np.ndarray:
+        """Rank metric of the float fused ranking: a float for one (m,) weight
+        vector, (B,) values for the rows of a (B, m) array. `matmul` makes one
+        gemv per stacked row, so each row is fused as `matrix @ w` would be;
+        a gemm (`matrix @ W.T`) rounds differently."""
+        if w_norm.ndim == 1:
+            return float(self.metric(w_norm[None], metric, cutoff)[0])
+        fused = np.matmul(self.matrix, w_norm[:, :, None])[..., 0]
+        order = np.argsort(-fused, axis=1, kind="stable")  # ties by id: rows are id-sorted
         return rank_metric(self.rel[order], metric, cutoff)
+
+
+def _mean_metric(
+    evals: Sequence[_ConceptEval], raw: np.ndarray, metric: str, cutoff: int
+) -> list[float | None]:
+    """Coordinate ascent's objective for each row of raw weights (B, m): the
+    mean metric over the concepts under the row normalized to sum 1, or None
+    where the row sums to <= 0."""
+    totals = raw.sum(axis=1)
+    valid = totals > 0
+    w_norm = raw[valid] / totals[valid, None]
+    values = np.empty((len(w_norm), len(evals)))  # C-contiguous: rows average as 1-D
+    for k, ce in enumerate(evals):
+        values[:, k] = ce.metric(w_norm, metric, cutoff)
+    means = iter(values.mean(axis=1).tolist())
+    return [next(means) if ok else None for ok in valid.tolist()]
 
 
 def _build_concept_evals(
@@ -394,26 +429,20 @@ def coordinate_ascent(
     order differently and the objective can differ from the scored run's.
 
     Cycles the coordinates; each tries values w_i +- delta0 * growth^j
-    (j = 0..steps, clamped at 0) and accepts the best if it improves the
-    objective by more than tol. Weights are renormalized to the simplex for
-    every evaluation; the raw vector is normalized once at the end. Restarts
-    perturb the start point with seeded noise; the best restart wins.
+    (j = 0..steps, clamped at 0), scored in one batch, and accepts the best
+    (the first in that order on ties) if it improves the objective by more
+    than tol. Weights are renormalized to the simplex for every evaluation;
+    the raw vector is normalized once at the end. Restarts perturb the start
+    point with seeded noise; the best restart wins.
     """
     evals, names = _build_concept_evals(tables_per_concept, qrels)
     m = len(names)
 
-    def objective(raw: np.ndarray) -> float | None:
-        total = raw.sum()
-        if total <= 0:
-            return None
-        w_norm = raw / total
-        return float(
-            np.mean([ce.metric(w_norm, cfg.metric, cfg.cutoff) for ce in evals])
-        )
+    def objective(raw: np.ndarray) -> list[float | None]:
+        return _mean_metric(evals, raw, cfg.metric, cfg.cutoff)
 
     if m == 1:
-        start = np.array([1.0])
-        obj = objective(start)
+        obj = objective(np.ones((1, 1)))[0]
         assert obj is not None
         return AscentResult(WeightVector(tuple(names), (1.0,)), obj, (), 0)
 
@@ -424,26 +453,25 @@ def coordinate_ascent(
         else:
             rng = np.random.default_rng([cfg.seed, restart])
             w = simplex_project(np.full(m, 1.0 / m) + rng.normal(0.0, 0.25, size=m))
-        current = objective(w)
+        current = objective(w[None])[0]
         if current is None:
             continue
         trace: list[AscentMove] = []
         for sweep in range(1, cfg.max_sweeps + 1):
             improved = False
             for i in range(m):
-                best_cand: tuple[float, float] | None = None  # (objective, value)
+                values = []  # the line search's candidates for w_i, scored in one batch
                 for j in range(cfg.steps + 1):
                     delta = cfg.delta0 * cfg.growth**j
                     for value in (w[i] + delta, max(0.0, w[i] - delta)):
-                        if value == w[i]:
-                            continue
-                        cand = w.copy()
-                        cand[i] = value
-                        obj = objective(cand)
-                        if obj is None:
-                            continue
-                        if best_cand is None or obj > best_cand[0]:
-                            best_cand = (obj, value)
+                        if value != w[i]:
+                            values.append(value)
+                cands = np.tile(w, (len(values), 1))
+                cands[:, i] = values
+                best_cand: tuple[float, float] | None = None  # (objective, value)
+                for value, obj in zip(values, objective(cands)):
+                    if obj is not None and (best_cand is None or obj > best_cand[0]):
+                        best_cand = (obj, value)
                 if best_cand is not None and best_cand[0] > current + cfg.tol:
                     w[i] = best_cand[1]
                     current = best_cand[0]

@@ -11,6 +11,7 @@ import numpy as np
 
 from tagfusion.collection import Collection, images_with_tag
 from tagfusion.estimators import ScoreTable, TagSimilarityModel, _kde_sigma, vote_tables
+from tagfusion.evalkit import rank_metric
 from tagfusion.neighbors import DistanceNormalizer, WeightVector, distance_block
 
 
@@ -108,3 +109,24 @@ def tag_ranking_kde_score(
     rows = np.array([c.index_of(m) for m in support])
     d = np.abs(matrix[rows] - qvec).sum(axis=1)
     return float(np.mean(np.exp(-(d * d) / (sigma * sigma))))
+
+
+def ascent_objective(evals, raw: np.ndarray, metric: str, cutoff: int) -> float | None:
+    """Coordinate ascent's objective for one raw weight vector: the mean over
+    the concepts' `_ConceptEval`s of the metric of `matrix @ (raw / sum)`,
+    ranked by a stable sort (ties by id), one concept at a time; None when
+    the weights sum to <= 0."""
+    total = raw.sum()
+    if total <= 0:
+        return None
+    w_norm = raw / total
+    values = []
+    for ce in evals:
+        order = np.argsort(-(ce.matrix @ w_norm), kind="stable")
+        values.append(rank_metric(ce.rel[order], metric, cutoff))
+    return float(np.mean(values))
+
+
+def mean_metric_rows(evals, raw: np.ndarray, metric: str, cutoff: int) -> list[float | None]:
+    """`learning._mean_metric` computed one weight row at a time."""
+    return [ascent_objective(evals, row, metric, cutoff) for row in raw]

@@ -97,6 +97,24 @@ class TestLoad:
         with pytest.raises(CollectionError, match=r"g\.tsv:3: non-finite component for image 'x2'"):
             load_collection(tags, [feat])
 
+    def test_feature_whose_l1_distances_overflow_is_an_error(self, tmp_path):
+        tags, _ = small_files(tmp_path)
+        feat = write(
+            tmp_path / "g.tsv",
+            "#feature\tg\t2\nx1\t1e308,0.0\nx2\t-1e308,0.0\nx3\t0.0,0.0\n",
+        )
+        with pytest.raises(CollectionError, match=r"g\.tsv: feature 'g' has L1 distances that overflow"):
+            load_collection(tags, [feat])
+
+    def test_large_finite_feature_loads(self, tmp_path):
+        tags, _ = small_files(tmp_path)
+        feat = write(  # widest L1 distance 1.6e308, below the float maximum
+            tmp_path / "g.tsv",
+            "#feature\tg\t2\nx1\t4e+307,-4e+307\nx2\t-4e+307,4e+307\nx3\t0.0,0.0\n",
+        )
+        c = load_collection(tags, [feat])
+        assert np.array_equal(c.vector("g", "x2"), [-4e307, 4e307])
+
     def test_duplicate_image_id_is_an_error(self, tmp_path):
         tags = write(tmp_path / "tags.tsv", "x1\tu1\tsky\nx1\tu2\tsea\n")
         with pytest.raises(CollectionError, match="duplicate image_id"):

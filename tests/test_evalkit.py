@@ -123,6 +123,33 @@ def test_cached_ndcg_discounts_match_the_uncached_formula_bitwise(monkeypatch):
             assert got.hex() == (dcg / idcg).hex(), (length, cutoff)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    flags=st.lists(st.booleans(), max_size=300),
+    rows=st.integers(0, 6),
+    cutoff=st.integers(1, 320),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(flags=[True] * 9, rows=3, cutoff=4, seed=0)  # all relevant
+@example(flags=[False] * 9, rows=2, cutoff=4, seed=0)  # none relevant
+def test_rank_metric_rows_equal_one_dimensional_calls_bitwise(flags, rows, cutoff, seed):
+    # rows are permutations of one ranking, as the ascent's batch makes them
+    rng = np.random.default_rng(seed)
+    base = np.array(flags, dtype=bool)
+    block = np.array([rng.permutation(base) for _ in range(rows)], dtype=bool).reshape(rows, len(base))
+    for metric in ("ap", "ndcg"):
+        got = rank_metric(block, metric, cutoff)
+        assert got.shape == (rows,)
+        assert [v.hex() for v in got.tolist()] == [
+            rank_metric(row, metric, cutoff).hex() for row in block
+        ]
+
+
+def test_rank_metric_rows_must_set_equal_counts():
+    with pytest.raises(ValueError, match="same number of flags"):
+        rank_metric(np.array([[True, False], [True, True]]), "ap")
+
+
 def test_rank_metric_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
         rank_metric(np.array([False, False]), "map")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tagfusion.learning as learning
 from tagfusion.collection import (
     SyntheticConfig,
     SyntheticFeature,
@@ -24,7 +27,7 @@ from tagfusion.learning import (
 from tagfusion.neighbors import DistanceNormalizer, WeightVector
 
 from conftest import make_collection
-from oracles import l1_distance
+from oracles import l1_distance, mean_metric_rows
 
 
 def grid_ap_oracle(tables, relevant, resolution=0.005, metric="ap"):
@@ -404,3 +407,105 @@ class TestPerConcept:
         tables, q = self.two_concepts()
         result = learn_per_concept(tables, q, AscentConfig(seed=0), min_pos=0)
         assert result.fallbacks == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the batched ascent objective against the one-vector-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+_WEIGHTS = st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0, 2.35]) | st.floats(0, 3)
+
+
+@st.composite
+def batched_objectives(draw):
+    """Concepts with quantized (tie-heavy) scores, a batch of raw weight rows
+    (zero weights, and sometimes an all-zero row), a metric and a cutoff."""
+    m = draw(st.integers(1, 4))
+    quanta = draw(st.integers(1, 4))
+    evals = []
+    # from 9 concepts on, numpy's pairwise mean over them is no longer a plain loop
+    for c in range(draw(st.sampled_from([1, 2, 3, 9, 20]))):
+        n = draw(st.sampled_from([1, 2, 3, 7, 20, 45]))  # n = 1: a one-candidate concept
+        ids = [f"c{i:02d}" for i in range(n)]
+        scores = draw(st.lists(st.integers(0, quanta), min_size=n * m, max_size=n * m))
+        tables = [
+            ScoreTable(f"e{j}", f"t{c}", {x: scores[i * m + j] / quanta for i, x in enumerate(ids)})
+            for j in range(m)
+        ]
+        if draw(st.booleans()):
+            relevant = frozenset(ids)  # an all-relevant concept
+        else:
+            flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            flags[draw(st.integers(0, n - 1))] = True
+            relevant = frozenset(x for x, f in zip(ids, flags) if f)
+        evals.append(_ConceptEval(tables, relevant))
+    rows = draw(st.lists(st.lists(_WEIGHTS, min_size=m, max_size=m), min_size=1, max_size=22))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0.0] * m)
+    metric = draw(st.sampled_from(["ap", "ndcg"]))
+    cutoff = draw(st.sampled_from([1, 2, 5, 46, 100]))  # 46 and 100 exceed every n
+    return evals, np.array(rows, dtype=np.float64), metric, cutoff
+
+
+class TestBatchedObjective:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(problem=batched_objectives())
+    def test_batch_equals_scalar_oracle_bit_for_bit(self, problem):
+        evals, raw, metric, cutoff = problem
+        got = learning._mean_metric(evals, raw, metric, cutoff)
+        want = mean_metric_rows(evals, raw, metric, cutoff)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert [v is None for v in got] == (raw.sum(axis=1) <= 0).tolist()
+
+    def test_steps_below_the_weights_resolution_leave_no_candidate(self):
+        # 0.5 + delta0 * growth^j rounds to 0.5: every line search is empty
+        tables, q, _ = perfect_and_inverted()
+        result = coordinate_ascent(tables, q, AscentConfig(delta0=1e-300, restarts=1))
+        assert result.trace == () and result.weights.weights == (0.5, 0.5)
+
+    def test_tied_candidates_go_to_the_first_in_line_search_order(self):
+        # every w_e0 above w_e1 ranks the relevant c1 first: the first such
+        # candidate, 0.5 + delta0, wins the tie
+        tables = {"w": [
+            ScoreTable("e0", "w", {"c0": 0.0, "c1": 1.0}),
+            ScoreTable("e1", "w", {"c0": 1.0, "c1": 0.0}),
+        ]}
+        q = Qrels()
+        q.add("w", "c1", 1)
+        result = coordinate_ascent(tables, q, AscentConfig(restarts=1))
+        assert result.trace == ((1, "e0", 0.55, 1.0),)
+
+    @staticmethod
+    def tie_heavy_instances():
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            m = 1 + seed % 4
+            tables, q = {}, Qrels()
+            for c in range(1 + seed % 3):
+                n = int(rng.integers(3, 30))
+                ids = [f"c{i:02d}" for i in range(n)]
+                tables[f"t{c}"] = [
+                    ScoreTable(f"e{j}", f"t{c}", {x: float(v) for x, v in zip(ids, rng.integers(0, 3, n) / 2)})
+                    for j in range(m)
+                ]
+                if c < 2 or seed % 2:  # otherwise a concept without relevant items
+                    for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+                        q.add(f"t{c}", ids[i], 1)
+            cfg = AscentConfig(
+                metric=("ap", "ndcg")[seed % 2], cutoff=(1, 5, 100)[seed % 3],
+                steps=1 + seed % 10, restarts=1 + seed % 3, seed=seed,
+            )
+            yield tables, q, cfg
+
+    def test_whole_ascent_equals_oracle_ascent(self, monkeypatch):
+        batched = [
+            (coordinate_ascent(t, q, cfg), learn_per_concept(t, q, cfg, min_pos=2))
+            for t, q, cfg in self.tie_heavy_instances()
+        ]
+        monkeypatch.setattr(learning, "_mean_metric", mean_metric_rows)
+        scalar = [
+            (coordinate_ascent(t, q, cfg), learn_per_concept(t, q, cfg, min_pos=2))
+            for t, q, cfg in self.tie_heavy_instances()
+        ]
+        assert batched == scalar
+        assert sum(len(r.trace) for r, _ in batched) > 0

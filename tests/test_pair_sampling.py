@@ -299,3 +299,31 @@ def test_enumerated_sample_memory_per_pair():
         tracemalloc.stop()
     assert [p.label for p in pairs] == [1] * 1000 + [0] * 1000
     assert peak <= 10 * total
+
+
+# ---------------------------------------------------------------------------
+# deduplication in the >5M branch, against np.unique
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(codes=st.lists(st.integers(0, 40), max_size=300), wide=st.booleans())
+def test_dedup_helpers_match_np_unique(codes, wide):
+    codes = np.array(codes, dtype=np.intp) * (10**12 if wide else 1)  # many duplicates
+    ordered = np.sort(codes)
+    assert np.array_equal(ordered[learning._run_starts(ordered)], np.unique(codes))
+    _, first = np.unique(codes, return_index=True)
+    assert np.array_equal(learning._first_occurrences(codes), codes[np.sort(first)])
+
+
+@pytest.mark.parametrize("groups", [LISTED, {"c0": range(0, 60), "c1": range(0, 60)}])
+def test_positive_codes_match_np_unique(groups):
+    labels = np.zeros((N_LARGE, len(groups)), dtype=bool)
+    for j, members in enumerate(groups.values()):
+        labels[list(members), j] = True
+    codes = []
+    for col in labels.T:
+        m = np.flatnonzero(col)
+        a, b = np.triu_indices(len(m), 1)
+        codes.append(m[a] * N_LARGE + m[b])
+    assert np.array_equal(learning._positive_codes(labels), np.unique(np.concatenate(codes)))

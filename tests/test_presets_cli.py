@@ -1,5 +1,9 @@
+import warnings
+
+import numpy as np
 import pytest
 
+import tagfusion.learning as learning
 from tagfusion.cli import main
 from tagfusion.collection import (
     SyntheticConfig,
@@ -16,6 +20,7 @@ from tagfusion.neighbors import WeightVector
 from tagfusion.presets import ScoreSettings, available_presets, derive_seed, score_preset
 
 from conftest import make_collection
+from oracles import mean_metric_rows
 
 
 def small_world(seed=0, n=80, tags=4):
@@ -607,3 +612,69 @@ class TestCliKdeOnSmallTags:
                 "--query-tags", "pair", "--k", "2", "--out", str(out), *extra,
             ]) == 0
         assert read_run(fused).ranking("pair") == read_run(single).ranking("pair")
+
+
+class TestCliOverflowingFeature:
+    """A feature whose L1 distances overflow is refused when it is loaded."""
+
+    def files(self, tmp_path, values):
+        rng = np.random.default_rng(0)
+        ids = [f"x{i:02d}" for i in range(40)]
+        tags = tmp_path / "tags.tsv"
+        tags.write_text("".join(f"{x}\tu\t{'w' if i % 3 else 'v'}\n" for i, x in enumerate(ids)))
+        paths = []
+        for name, comps in (("fa", values), ("fb", [0.0, 0.5, 1.0])):
+            path = tmp_path / f"{name}.tsv"
+            rows = rng.choice(comps, size=(len(ids), 2))
+            path.write_text(f"#feature\t{name}\t2\n" + "".join(
+                f"{x}\t{','.join(repr(float(v)) for v in row)}\n" for x, row in zip(ids, rows)
+            ))
+            paths.append(str(path))
+        return str(tags), ",".join(paths)
+
+    @pytest.mark.parametrize("preset", ["early-minmax-average", "tagrel-fa"])
+    def test_overflowing_feature_exits_2_naming_it(self, tmp_path, capsys, preset):
+        tags, feats = self.files(tmp_path, [-1.5e308, -1.0, 0.0, 2.0, 1.5e308])
+        out = tmp_path / "r.run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code = main([
+                "score", "--tags", tags, "--features", feats, "--preset", preset,
+                "--k", "5", "--out", str(out),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'fa.tsv'}: feature 'fa' has L1 distances that overflow" in err
+        assert not out.exists()
+
+    def test_large_finite_feature_loads_and_scores(self, tmp_path):
+        tags, feats = self.files(tmp_path, [-4e307, 4e307])  # widest L1: 1.6e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "score", "--tags", tags, "--features", feats, "--preset", "tagrel-fa",
+                "--k", "5", "--out", str(tmp_path / "r.run"),
+            ]) == 0
+        assert read_run(tmp_path / "r.run").run_id == "tagrel-fa"
+
+
+class TestCliLearnBatchedObjective:
+    def test_learn_files_equal_those_of_the_scalar_objective(self, tmp_path, monkeypatch):
+        world = tmp_path / "world"
+        assert main([
+            "synth", "--out", str(world), "--images", "150", "--tags", "5",
+            "--features", "visa:2,visb:2", "--seed", "3",
+        ]) == 0
+        args = [
+            "learn", "--tags", str(world / "tags.tsv"),
+            "--features", f"{world / 'visa.tsv'},{world / 'visb.tsv'}",
+            "--qrels", str(world / "qrels.tsv"), "--scheme", "late", "--k", "10",
+            "--per-concept", "--norm", "rankmax", "--metric", "ndcg", "--cutoff", "20",
+        ]
+        assert main(args + ["--out", str(tmp_path / "batched")]) == 0
+        monkeypatch.setattr(learning, "_mean_metric", mean_metric_rows)
+        assert main(args + ["--out", str(tmp_path / "scalar")]) == 0
+        for name in ("weights-global.tsv", "weights-concepts.tsv", "learn.log"):
+            batched = (tmp_path / "batched" / name).read_bytes()
+            assert batched == (tmp_path / "scalar" / name).read_bytes()
+        assert len((tmp_path / "batched" / "learn.log").read_text().splitlines()) > 5
