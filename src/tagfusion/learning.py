@@ -107,6 +107,11 @@ def _sample_sizes(n_pos: int, n_neg: int, n_pairs: int) -> tuple[int, int]:
     return want_pos, want_neg
 
 
+def _choose(rng: np.random.Generator, n: int, want: int) -> np.ndarray:
+    """`want` distinct ranks of range(n), drawn uniformly, in ascending order."""
+    return np.sort(rng.choice(n, want, replace=False, shuffle=False))
+
+
 def _enumerated_sample(
     rng: np.random.Generator, labels: np.ndarray, n_pairs: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +120,8 @@ def _enumerated_sample(
     t(a, b) = a * n - a * (a + 1) / 2 + (b - a - 1).
 
     No (n x n) array is built: memory is the one-byte-per-pair mask of pairs
-    sharing a concept, eight bytes per positive pair for their ordinals, and
-    the permutation sampling each class, eight bytes per pair of that class.
+    sharing a concept and eight bytes per positive pair for their ordinals;
+    each class is sampled by rank with `_choose`.
     """
     n = len(labels)
     rows = np.arange(n)
@@ -127,11 +132,11 @@ def _enumerated_sample(
             shared[row_start[a]:row_start[a + 1]] |= col[a + 1:]
     pos = np.flatnonzero(shared)
     n_neg = len(shared) - len(pos)
-    del shared  # freed before the permutations, the largest arrays
+    del shared  # freed before the draws
     want_pos, want_neg = _sample_sizes(len(pos), n_neg, n_pairs)
-    chosen = pos[np.sort(rng.permutation(len(pos))[:want_pos])]
+    chosen = pos[_choose(rng, len(pos), want_pos)]
     pos -= np.arange(len(pos))  # negatives before each positive pair
-    neg = np.sort(rng.permutation(n_neg)[:want_neg])
+    neg = _choose(rng, n_neg, want_neg)
     neg += np.searchsorted(pos, neg, side="right")  # negative rank -> ordinal
 
     def codes(t: np.ndarray) -> np.ndarray:
@@ -172,12 +177,15 @@ def sample_pairs(
 
     Pairs (a, b) of judged images, a < b by id, are positive iff they share a
     concept. Up to 5M pairs, both classes are listed in lexicographic order
-    and each is sampled without replacement; a scarce class contributes all
-    its pairs and the other tops the sample up to `n_pairs`. Beyond that,
-    positives are still listed when the concepts hold at most 5M pairs, and
-    negatives are drawn by rejection (otherwise both classes are). Output holds
-    positives, then negatives, each in lexicographic order, and never a
-    duplicate unordered pair. Raises if either class has no pairs at all.
+    and each is sampled uniformly without replacement by `rng.choice`, which
+    draws a sample of at most a twentieth of its class by Floyd's algorithm,
+    in time and memory proportional to the sample; a scarce class contributes
+    all its pairs and the other tops the sample up to `n_pairs`. Beyond that,
+    positives are still listed (and sampled the same way) when the concepts
+    hold at most 5M pairs, and negatives are drawn by rejection (otherwise
+    both classes are). Output holds positives, then negatives, each in
+    lexicographic order, and never a duplicate unordered pair. Raises if
+    either class has no pairs at all.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -197,7 +205,7 @@ def sample_pairs(
         pos = _draw_pairs(rng, labels, n_pairs // 2, positive=True)
     else:
         want_pos, want_neg = _sample_sizes(len(pos), total_pairs - len(pos), n_pairs)
-        pos = pos[np.sort(rng.permutation(len(pos))[:want_pos])]
+        pos = pos[_choose(rng, len(pos), want_pos)]
     neg = _draw_pairs(rng, labels, want_neg, positive=False)
     if not len(neg):
         raise ValueError("no negative pairs found within the sampling budget")

@@ -300,7 +300,8 @@ def distance_block(
     feature to its (B, dim) query rows, and `own[b]` is the index of query b
     in `c`, or -1 when it is not there. That slot is nan in every feature's
     block before normalization: a query is never its own neighbor nor a
-    RankMax candidate.
+    RankMax candidate. A feature of weight 0 is skipped; its block would add
+    only zeros while its distances are finite.
     """
     if isinstance(metric, str):
         d = pairwise_l1(query_vecs[metric], c.feature(metric).matrix)
@@ -308,6 +309,8 @@ def distance_block(
         return d
     combined = np.zeros((len(own), len(c)), dtype=np.float64)
     for name, lam in zip(metric.names, metric.weights):
+        if lam == 0.0:
+            continue
         d = distance_block(c, name, query_vecs, own)
         (normalizers or {}).get(name, DistanceNormalizer(mode="none")).apply(d)
         d *= lam

@@ -558,6 +558,22 @@ class TestOneNeighborPassPerImage:
         )
         assert 0 < rows <= 2 * tagged
 
+    @pytest.mark.parametrize("norm", ["minmax", "rankmax"])
+    def test_one_hot_early_fusion_searches_only_the_hot_feature(self, monkeypatch, norm):
+        import tagfusion.neighbors as neighbors
+
+        c, tagged = self.world()
+        hot = WeightVector.one_hot(("fa", "fb"), "fb")
+        settings = ScoreSettings(
+            features=("fa", "fb"), k=20, calib_sample_size=500,
+            weights=hot, concept_weights={t: hot for t in c.tag_index},
+        )
+        for weighting in ("learning", "learning+"):
+            rows = self.count_rows(
+                monkeypatch, neighbors, lambda: score_preset(c, f"early-{norm}-{weighting}", settings)
+            )
+            assert 0 < rows <= tagged
+
     def test_vote_memory_does_not_grow_with_the_vocabulary(self):
         import tracemalloc
 

@@ -13,6 +13,7 @@ from tagfusion.neighbors import (
     _CHUNK_BYTES,
     _percentile_upper,
     calibrate_normalizer,
+    distance_block,
     knn,
     pairwise_l1,
 )
@@ -209,6 +210,26 @@ class TestCombinedDistance:
         assert combined_distance(c, "x000", "x001", wv, normalizers) == 0.0
         assert combined_distance(c, "x000", "x002", wv, normalizers) == pytest.approx(1 / 3)
         assert combined_distance(c, "x000", "x003", wv, normalizers) == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("mode", ["none", "minmax", "rankmax"])
+    def test_zero_weight_feature_skip_is_bit_identical(self, mode):
+        """Skipping a weight-0 feature gives the bytes of adding 0 * its block."""
+        rng = np.random.default_rng(5)
+        n = 40
+        feats = {f: np.round(rng.uniform(0, 1, size=(n, 2)), 1) for f in ("fa", "fb", "fc")}
+        c = make_collection([(f"x{i:02d}", "u", []) for i in range(n)], feats)
+        normalizers = {
+            f: calibrate_normalizer(c, f, mode, 500, k) for k, f in enumerate(("fa", "fb", "fc"))
+        }
+        query_vecs = {f: m[:9] for f, m in feats.items()}
+        own = np.array([0, 1, 2, 3, 4, 5, -1, 7, 8])
+        for weights in ([0.4, 0.6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.25, 0.75]):
+            wv = WeightVector(("fa", "fb", "fc"), tuple(weights))
+            full = np.zeros((len(own), n))
+            for f, lam in zip(wv.names, wv.weights):
+                full += normalizers[f].apply(distance_block(c, f, query_vecs, own)) * lam
+            got = distance_block(c, wv, query_vecs, own, normalizers)
+            assert got.tobytes() == full.tobytes()
 
 
 class TestKnn:

@@ -51,8 +51,8 @@ def list_sample_pairs(qrels, c, n_pairs, seed=0):
     want_neg = min(n_pairs - want_pos, len(neg))
     if want_neg < n_pairs - want_pos:
         want_pos = min(n_pairs - want_neg, len(pos))
-    pos_idx = rng.permutation(len(pos))[:want_pos]
-    neg_idx = rng.permutation(len(neg))[:want_neg]
+    pos_idx = rng.choice(len(pos), want_pos, replace=False, shuffle=False)
+    neg_idx = rng.choice(len(neg), want_neg, replace=False, shuffle=False)
     out = [LabeledPair(a, b, 1) for a, b in (pos[i] for i in sorted(pos_idx))]
     out += [LabeledPair(a, b, 0) for a, b in (neg[i] for i in sorted(neg_idx))]
     return out
@@ -277,9 +277,9 @@ def test_overlap_extremes_match_reference(world, n_pairs, seed):
     assert len(got) == min(n_pairs, n * (n - 1) // 2)
 
 
-def test_enumerated_sample_memory_per_pair():
-    """No (n x n) array: the traced peak stays near the one-byte mask plus the
-    eight bytes per negative pair of the permutation that draws them."""
+def traced_sample_peak():
+    """Traced peak bytes per listed pair of one 2000-pair sample from 2000
+    images in 20 disjoint concepts (1,999,000 pairs, 99,000 positive)."""
     import tracemalloc
 
     n = 2000
@@ -298,7 +298,49 @@ def test_enumerated_sample_memory_per_pair():
     finally:
         tracemalloc.stop()
     assert [p.label for p in pairs] == [1] * 1000 + [0] * 1000
-    assert peak <= 10 * total
+    return peak / total
+
+
+def test_enumerated_sample_memory_per_pair():
+    """No (n x n) array: the traced peak stays near the one-byte mask of
+    pairs sharing a concept."""
+    assert traced_sample_peak() <= 10
+
+
+def test_enumerated_sample_draws_without_listing_each_class():
+    """The draw costs memory in proportion to the sample, not to the class:
+    a permutation of the 1,900,000 negative ordinals alone would add eight
+    bytes per pair."""
+    assert traced_sample_peak() <= 3
+
+
+UNIFORM_WORLD = (  # 20 positive and 25 negative pairs; 11 pairs take 5 and 6
+    [f"x{i}" for i in range(10)],
+    {"c1": {f"x{i}": 1 for i in range(5)}, "c2": {f"x{i}": 1 for i in range(5, 10)}},
+)
+
+
+def test_draw_is_uniform_without_replacement():
+    """Over 2000 seeds every pair of a class is drawn about equally often,
+    no sample repeats a pair, and the class sizes are `_sample_sizes`'."""
+    c, q = build(UNIFORM_WORLD)
+    seeds, n_pairs = 2000, 11
+    want = dict(zip((1, 0), learning._sample_sizes(20, 25, n_pairs)))
+    counts = {}
+    for seed in range(seeds):
+        pairs = sample_pairs(q, c, n_pairs, seed)
+        assert len(set(pairs)) == len(pairs)
+        for label, size in want.items():
+            assert sum(p.label == label for p in pairs) == size
+        for p in pairs:
+            counts[p] = counts.get(p, 0) + 1
+    for label, size in want.items():
+        seen = [k for p, k in counts.items() if p.label == label]
+        n_class = 20 if label else 25
+        assert len(seen) == n_class
+        share = size / n_class
+        mean, sigma = seeds * share, np.sqrt(seeds * share * (1 - share))
+        assert all(abs(k - mean) <= 5 * sigma for k in seen), (label, sorted(seen))
 
 
 # ---------------------------------------------------------------------------
