@@ -45,41 +45,30 @@ def rank_metric(flags: np.ndarray, metric: str, cutoff: int = 100) -> float | np
 
     The one implementation behind evaluation and coordinate ascent. Both
     metrics are 0 when no flag is set; `cutoff` applies to NDCG only.
-    1-D flags give a float. 2-D flags (B, n) hold B rankings, one per row,
-    each with the same number of set flags, and give (B,) values: each row's
-    sums run in the 1-D call's pairwise order, so every value equals that
-    call on its row bit for bit.
+    2-D flags (B, n) hold B rankings, one per row, each with the same number
+    of set flags, and give (B,) values. 1-D flags are scored as one such row
+    and give a float, so every row's value equals the 1-D call's bit for bit.
     """
     if metric == "ndcg":
         if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
     elif metric != "ap":
         raise ValueError(f"unknown metric {metric!r}")
-    if flags.ndim == 2:
-        return _rank_metric_rows(flags, metric, cutoff)
-    n_rel = int(np.count_nonzero(flags))
-    if n_rel == 0:
-        return 0.0
-    if metric == "ap":
-        hits = np.cumsum(flags)
-        positions = np.arange(1, len(flags) + 1)
-        return float((hits[flags] / positions[flags]).sum() / n_rel)
-    top = flags[:cutoff]
-    dcg = float((top * _discounts(len(top))).sum())
-    idcg = float(_discounts(min(n_rel, cutoff)).sum())
-    return dcg / idcg
+    if flags.ndim == 1:
+        return float(_rank_metric_rows(flags[None], metric, cutoff)[0])
+    return _rank_metric_rows(flags, metric, cutoff)
 
 
 def _rank_metric_rows(flags: np.ndarray, metric: str, cutoff: int) -> np.ndarray:
     rows, n = flags.shape
-    counts = np.count_nonzero(flags, axis=1)
+    counts = flags.sum(axis=1)  # array methods: numpy's wrappers dominate short rows
     n_rel = int(counts[0]) if rows else 0
-    if np.any(counts != n_rel):
+    if (counts != n_rel).any():
         raise ValueError("every row of 2-D flags must set the same number of flags")
     if n_rel == 0:
         return np.zeros(rows)
     if metric == "ap":
-        precisions = np.cumsum(flags, axis=1) / np.arange(1, n + 1)
+        precisions = flags.cumsum(axis=1) / np.arange(1, n + 1)
         return precisions[flags].reshape(rows, n_rel).sum(axis=1) / n_rel
     top = flags[:, :cutoff]
     dcg = (top * _discounts(top.shape[1])).sum(axis=1)

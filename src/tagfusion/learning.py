@@ -50,7 +50,7 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_ENUMERATE_LIMIT = 5_000_000  # pairs listed in memory; beyond, negatives are drawn
+_ENUMERATE_LIMIT = 5_000_000  # pairs per listing run; beyond, negatives are drawn
 
 
 def _label_matrix(qrels: Qrels, c: Collection) -> tuple[list[str], np.ndarray]:
@@ -63,21 +63,6 @@ def _label_matrix(qrels: Qrels, c: Collection) -> tuple[list[str], np.ndarray]:
         rows = [row[i] for i, rel in qrels.judgments[t].items() if rel == 1 and i in row]
         labels[rows, j] = True
     return universe, labels
-
-
-def _positive_codes(labels: np.ndarray) -> np.ndarray | None:
-    """Sorted codes a * n + b (a < b) of the pairs sharing a concept, or None
-    when the concepts hold more than _ENUMERATE_LIMIT pairs between them."""
-    n = len(labels)
-    members = [np.flatnonzero(col) for col in labels.T]
-    if sum(len(m) * (len(m) - 1) // 2 for m in members) > _ENUMERATE_LIMIT:
-        return None
-    codes = [np.empty(0, dtype=np.intp)]
-    for m in members:
-        a, b = np.triu_indices(len(m), 1)
-        codes.append(m[a] * n + m[b])
-    codes = np.sort(np.concatenate(codes))
-    return codes[_run_starts(codes)]
 
 
 def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
@@ -112,38 +97,39 @@ def _choose(rng: np.random.Generator, n: int, want: int) -> np.ndarray:
     return np.sort(rng.choice(n, want, replace=False, shuffle=False))
 
 
-def _enumerated_sample(
-    rng: np.random.Generator, labels: np.ndarray, n_pairs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted codes a * n + b of the sampled positive and negative pairs, with
-    every pair listed by its lexicographic ordinal
-    t(a, b) = a * n - a * (a + 1) / 2 + (b - a - 1).
+def _positive_ordinals(labels: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+    """Sorted ordinals of the pairs sharing a concept, pair (a, b > a) having
+    the lexicographic ordinal t(a, b) = a * n - a * (a + 1) / 2 + (b - a - 1)
+    and `row_start[a]` being t(a, a + 1).
 
-    No (n x n) array is built: memory is the one-byte-per-pair mask of pairs
-    sharing a concept and eight bytes per positive pair for their ordinals;
-    each class is sampled by rank with `_choose`.
+    Rows a (pairs (a, b > a)) are taken in runs of at most _ENUMERATE_LIMIT
+    pairs (one row at least). Each run ORs every concept's flags into a
+    one-byte-per-pair mask, one row slice per member image, so runs come out
+    sorted and disjoint: memory is one mask plus eight bytes per positive.
     """
     n = len(labels)
-    rows = np.arange(n)
-    row_start = rows * (2 * n - rows - 1) // 2  # t(a, a + 1)
-    shared = np.zeros(n * (n - 1) // 2, dtype=bool)
-    for col in np.ascontiguousarray(labels.T):  # one concept's flags, contiguous
-        for a in np.flatnonzero(col[:-1]).tolist():  # mark its pairs (a, b > a)
-            shared[row_start[a]:row_start[a + 1]] |= col[a + 1:]
-    pos = np.flatnonzero(shared)
-    n_neg = len(shared) - len(pos)
-    del shared  # freed before the draws
-    want_pos, want_neg = _sample_sizes(len(pos), n_neg, n_pairs)
-    chosen = pos[_choose(rng, len(pos), want_pos)]
-    pos -= np.arange(len(pos))  # negatives before each positive pair
-    neg = _choose(rng, n_neg, want_neg)
-    neg += np.searchsorted(pos, neg, side="right")  # negative rank -> ordinal
+    cols = np.ascontiguousarray(labels.T)  # one concept's flags, contiguous
+    runs = []
+    lo = 0
+    while lo < n - 1:
+        end = np.searchsorted(row_start, row_start[lo] + _ENUMERATE_LIMIT, side="right")
+        hi = max(lo + 1, int(end) - 1)
+        base = row_start[lo]
+        shared = np.zeros(row_start[hi] - base, dtype=bool)
+        for col in cols:
+            for a in (np.flatnonzero(col[lo:hi]) + lo).tolist():
+                shared[row_start[a] - base:row_start[a + 1] - base] |= col[a + 1:]
+        run = np.flatnonzero(shared)
+        run += base
+        runs.append(run)
+        lo = hi
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
-    def codes(t: np.ndarray) -> np.ndarray:
-        a = np.searchsorted(row_start, t, side="right") - 1
-        return a * n + (t - row_start[a] + a + 1)
 
-    return codes(chosen), codes(neg)
+def _codes(t: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+    """Codes a * n + b of the pairs with ordinals `t`."""
+    a = np.searchsorted(row_start, t, side="right") - 1
+    return a * len(row_start) + (t - row_start[a] + a + 1)
 
 
 def _draw_pairs(
@@ -176,16 +162,17 @@ def sample_pairs(
     """Seeded sample of labeled pairs, balanced 50/50 where possible.
 
     Pairs (a, b) of judged images, a < b by id, are positive iff they share a
-    concept. Up to 5M pairs, both classes are listed in lexicographic order
-    and each is sampled uniformly without replacement by `rng.choice`, which
-    draws a sample of at most a twentieth of its class by Floyd's algorithm,
-    in time and memory proportional to the sample; a scarce class contributes
-    all its pairs and the other tops the sample up to `n_pairs`. Beyond that,
-    positives are still listed (and sampled the same way) when the concepts
-    hold at most 5M pairs, and negatives are drawn by rejection (otherwise
-    both classes are). Output holds positives, then negatives, each in
-    lexicographic order, and never a duplicate unordered pair. Raises if
-    either class has no pairs at all.
+    concept. When there are at most 5M pairs, or the concepts hold at most 5M
+    pairs between them, the positives are listed (`_positive_ordinals`) and
+    sampled uniformly without replacement by `rng.choice`, which draws a
+    sample of at most a twentieth of its class by Floyd's algorithm, in time
+    and memory proportional to the sample; a scarce class contributes all its
+    pairs and the other tops the sample up to `n_pairs`. Negatives are then
+    sampled the same way, by rank among all pairs, up to 5M pairs, and drawn
+    by rejection beyond (`_draw_pairs`). Otherwise both classes are drawn by
+    rejection. Output holds positives, then negatives, each in lexicographic
+    order, and never a duplicate unordered pair. Raises if either class has
+    no pairs at all.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -196,16 +183,21 @@ def sample_pairs(
     rng = np.random.default_rng(seed)
 
     total_pairs = n * (n - 1) // 2
-    if total_pairs <= _ENUMERATE_LIMIT:
-        pos, neg = _enumerated_sample(rng, labels, n_pairs)
-        return _labeled(universe, pos, 1) + _labeled(universe, neg, 0)
-    pos = _positive_codes(labels)
-    if pos is None:  # too many positive pairs to list: draw both classes
+    concept_pairs = sum(m * (m - 1) // 2 for m in labels.sum(axis=0).tolist())
+    if min(total_pairs, concept_pairs) > _ENUMERATE_LIMIT:  # draw both classes
         want_neg = n_pairs - n_pairs // 2
         pos = _draw_pairs(rng, labels, n_pairs // 2, positive=True)
     else:
-        want_pos, want_neg = _sample_sizes(len(pos), total_pairs - len(pos), n_pairs)
-        pos = pos[_choose(rng, len(pos), want_pos)]
+        rows = np.arange(n)
+        row_start = rows * (2 * n - rows - 1) // 2  # t(a, a + 1)
+        t = _positive_ordinals(labels, row_start)
+        want_pos, want_neg = _sample_sizes(len(t), total_pairs - len(t), n_pairs)
+        pos = _codes(t[_choose(rng, len(t), want_pos)], row_start)
+        if total_pairs <= _ENUMERATE_LIMIT:  # negatives by rank, too
+            t -= np.arange(len(t))  # negatives before each positive pair
+            neg = _choose(rng, total_pairs - len(t), want_neg)
+            neg = _codes(neg + np.searchsorted(t, neg, side="right"), row_start)
+            return _labeled(universe, pos, 1) + _labeled(universe, neg, 0)
     neg = _draw_pairs(rng, labels, want_neg, positive=False)
     if not len(neg):
         raise ValueError("no negative pairs found within the sampling budget")
@@ -437,11 +429,11 @@ def coordinate_ascent(
     order differently and the objective can differ from the scored run's.
 
     Cycles the coordinates; each tries values w_i +- delta0 * growth^j
-    (j = 0..steps, clamped at 0), scored in one batch, and accepts the best
-    (the first in that order on ties) if it improves the objective by more
-    than tol. Weights are renormalized to the simplex for every evaluation;
-    the raw vector is normalized once at the end. Restarts perturb the start
-    point with seeded noise; the best restart wins.
+    (j = 0..steps, clamped at 0; a repeated value once), scored in one batch,
+    and accepts the best (the first in that order on ties) if it improves
+    the objective by more than tol. Weights are renormalized to the simplex
+    for every evaluation; the raw vector is normalized once at the end.
+    Restarts perturb the start point with seeded noise; the best restart wins.
     """
     evals, names = _build_concept_evals(tables_per_concept, qrels)
     m = len(names)
@@ -472,7 +464,7 @@ def coordinate_ascent(
                 for j in range(cfg.steps + 1):
                     delta = cfg.delta0 * cfg.growth**j
                     for value in (w[i] + delta, max(0.0, w[i] - delta)):
-                        if value != w[i]:
+                        if value != w[i] and value not in values:  # clamped repeats
                             values.append(value)
                 cands = np.tile(w, (len(values), 1))
                 cands[:, i] = values

@@ -475,6 +475,23 @@ class TestBatchedObjective:
         result = coordinate_ascent(tables, q, AscentConfig(restarts=1))
         assert result.trace == ((1, "e0", 0.55, 1.0),)
 
+    def test_line_search_scores_each_candidate_once(self, monkeypatch):
+        # from w_i = 0.5, every w_i - 0.05 * 2^j with j >= 4 clamps to 0.0
+        batches = []
+        mean_metric = learning._mean_metric
+
+        def recorded(evals, raw, metric, cutoff):
+            batches.append(raw.copy())
+            return mean_metric(evals, raw, metric, cutoff)
+
+        monkeypatch.setattr(learning, "_mean_metric", recorded)
+        tables, q, _ = perfect_and_inverted()
+        coordinate_ascent(tables, q, AscentConfig(restarts=1))
+        for t, q, cfg in self.tie_heavy_instances():
+            coordinate_ascent(t, q, cfg)
+        assert len(batches) > 12
+        assert all(len(np.unique(raw, axis=0)) == len(raw) for raw in batches)
+
     @staticmethod
     def tie_heavy_instances():
         for seed in range(12):

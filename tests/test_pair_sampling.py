@@ -1,5 +1,9 @@
-"""`sample_pairs` against the list-based sampler it replaced, and its
-rejection branch for universes above the enumeration limit."""
+"""`sample_pairs` against the list-based sampler it replaced, its rejection
+branch for universes above the enumeration limit, and its positive-pair
+lister at any run length."""
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -188,10 +192,10 @@ def test_per_concept_views_match_reference(monkeypatch):
 N_LARGE = 3200
 
 
-def large_world(groups):
-    """Featureless collection; groups = {tag: range of relevant image numbers},
-    every other image judged 0 for the first tag."""
-    ids = [f"i{v:04d}" for v in range(N_LARGE)]
+def large_world(groups, n=N_LARGE):
+    """Featureless collection of n images; groups = {tag: range of relevant
+    image numbers}, every other image judged 0 for the first tag."""
+    ids = [f"i{v:04d}" for v in range(n)]
     c = make_collection([(i, "u", []) for i in ids])
     q = Qrels()
     first = next(iter(groups))
@@ -344,7 +348,7 @@ def test_draw_is_uniform_without_replacement():
 
 
 # ---------------------------------------------------------------------------
-# deduplication in the >5M branch, against np.unique
+# rejection dedupe and the positive-pair lister, against np.unique
 # ---------------------------------------------------------------------------
 
 
@@ -358,14 +362,149 @@ def test_dedup_helpers_match_np_unique(codes, wide):
     assert np.array_equal(learning._first_occurrences(codes), codes[np.sort(first)])
 
 
-@pytest.mark.parametrize("groups", [LISTED, {"c0": range(0, 60), "c1": range(0, 60)}])
-def test_positive_codes_match_np_unique(groups):
-    labels = np.zeros((N_LARGE, len(groups)), dtype=bool)
-    for j, members in enumerate(groups.values()):
-        labels[list(members), j] = True
-    codes = []
+def row_starts(n):
+    """Ordinal t(a, a + 1) of each row's first pair."""
+    rows = np.arange(n)
+    return rows * (2 * n - rows - 1) // 2
+
+
+def triu_codes(labels):
+    """Reference: the sorted distinct codes a * n + b (a < b) of the pairs
+    sharing a concept, from per-concept `np.triu_indices`."""
+    n = len(labels)
+    codes = [np.empty(0, dtype=np.intp)]
     for col in labels.T:
         m = np.flatnonzero(col)
         a, b = np.triu_indices(len(m), 1)
-        codes.append(m[a] * N_LARGE + m[b])
-    assert np.array_equal(learning._positive_codes(labels), np.unique(np.concatenate(codes)))
+        codes.append(m[a] * n + m[b])
+    return np.unique(np.concatenate(codes))
+
+
+def group_labels(groups):
+    """(N_LARGE x concepts) relevance of `large_world(groups)`'s images."""
+    labels = np.zeros((N_LARGE, len(groups)), dtype=bool)
+    for j, members in enumerate(groups.values()):
+        labels[list(members), j] = True
+    return labels
+
+
+def listed_codes(labels):
+    row_start = row_starts(len(labels))
+    return learning._codes(learning._positive_ordinals(labels, row_start), row_start)
+
+
+@pytest.mark.parametrize("groups", [LISTED, {"c0": range(0, 60), "c1": range(0, 60)}])
+def test_positive_codes_match_np_unique(groups):
+    labels = group_labels(groups)
+    assert np.array_equal(listed_codes(labels), triu_codes(labels))
+
+
+@st.composite
+def label_matrices(draw):
+    """Small (images x concepts) relevance with overlapping concepts, empty
+    rows and, often, the last row set."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+    labels = np.array(cells, dtype=bool).reshape(n, k)
+    if draw(st.booleans()):
+        labels[-1, draw(st.integers(0, k - 1))] = True
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        labels[row] = False
+    return labels
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(labels=label_matrices())
+def test_lister_runs_match_np_unique(labels):
+    """Any run length, down to one pair, lists the same sorted positives."""
+    want = triu_codes(labels)
+    for limit in (1, 2, 3, 7, 45, 10**9):
+        with mock.patch.object(learning, "_ENUMERATE_LIMIT", limit):
+            assert np.array_equal(listed_codes(labels), want), limit
+
+
+# ---------------------------------------------------------------------------
+# every branch bit-identical to the samples recorded before the lister was
+# shared (sha256 of repr(sample_pairs(...)), seeds 0-2)
+# ---------------------------------------------------------------------------
+
+BIG_CONCEPT = {"c0": range(0, 3100), "c1": range(3100, 3200)}  # 4,808,400 positive pairs
+PINNED = {  # name: (groups, images, n_pairs, sha256 at seeds 0-2)
+    # 4,498,500 pairs in all, 8,407,100 in the concepts: listed, negatives by rank
+    "overlap-below-limit": ({"c0": range(0, 2900), "c1": range(100, 3000)}, 3000, 600, (
+        "b8e9698fb8a98543cbcfb63727ed251e64d858f9d861cdbef0f57029cd730bbc",
+        "824f3fd0498f1a1361ddc4aca78356a6536ffd77cf49b04b85a241837ae5e472",
+        "c2934666e73480c8700bae3c68c10cef8335aadd6bfd43bbaaa1ac19360c6dee",
+    )),
+    "listed": (LISTED, N_LARGE, 600, (
+        "587de5f79a491af5881bd07c649ce462cb196316c32c98075dbe3d9b2c83e839",
+        "2351b3a55a3ce026cc0577ec82231ddac1bdd18f59ad9596504d18f5299e712d",
+        "2081e0e17abfd8c28f237aca67f95688c952438f3af19d0716257ac8594cce75",
+    )),
+    "drawn": (DRAWN, N_LARGE, 600, (
+        "9c5e05bbc71fe3884aa159e6c14bba4d0b8dc27ae38eb0dc3e55bd6d2888153f",
+        "03e7e5f6bec9018ce8888e5fb0949ae2ce2747aa0afd64c9a559781af609721f",
+        "dc22b0129d3bfadd439fdb83c62bb41e1a41847a60862a4dd0349ac0f260322e",
+    )),
+    "scarce": ({"c0": range(40)}, N_LARGE, 1000, (
+        "7ade8aa1d68cc6233645591c154164111e35944c2c5e619d5a4d48f464d0b53e",
+        "096d975ed4faef3bfd0c4dda002641d85d1bccb4766f3838b6f9059f18b0a0d8",
+        "948f3c628e20548623f05868b3d7766ff10b8f2919400dc0d8d1cbd8ae6e0b06",
+    )),
+    "big-concept": (BIG_CONCEPT, N_LARGE, 600, (
+        "e1f5bc63615de7fee37700978dcb9086b8911fd9c27aeb6565f3908fe8801640",
+        "90bdcbe9f156cfa1a0a1e01b83cbcb71985e3c943877c1df635ce96a0c30698e",
+        "a7a9aed0c8c0ef1d26485e921cf5a8f1ab769a938f286a28a74ab2350aba758f",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_samples_match_pinned_hashes(name):
+    groups, n, n_pairs, hashes = PINNED[name]
+    c, q = large_world(groups, n)
+    for seed, want in enumerate(hashes):
+        got = hashlib.sha256(repr(sample_pairs(q, c, n_pairs, seed=seed)).encode()).hexdigest()
+        assert got == want, (name, seed)
+
+
+def test_lister_runs_bound_the_mask(monkeypatch):
+    """The mask spans one run of at most _ENUMERATE_LIMIT pairs, not every
+    pair: listing 127,255 positives of 5,118,400 pairs in runs of 10,000
+    pairs keeps the traced peak within 1 MiB of the ordinals (eight bytes
+    each, eight more while runs are joined), where one mask over every
+    pair would add 5,118,400 bytes."""
+    import tracemalloc
+
+    labels = group_labels(LISTED)
+    row_start = row_starts(N_LARGE)
+    monkeypatch.setattr(learning, "_ENUMERATE_LIMIT", 10_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = learning._positive_ordinals(labels, row_start)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 127_255
+    assert peak <= 16 * len(t) + (1 << 20)
+
+
+def test_lister_memory_per_positive_pair():
+    """Above 5M pairs the positives are listed in runs of at most 5M pairs:
+    the traced peak stays near eight bytes per positive for the listed
+    ordinals, eight more while the runs are joined, and one mask."""
+    import tracemalloc
+
+    c, q = large_world(BIG_CONCEPT)
+    n_pos = 3100 * 3099 // 2 + 100 * 99 // 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = sample_pairs(q, c, 600, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [p.label for p in pairs] == [1] * 300 + [0] * 300
+    assert peak / n_pos <= 20
