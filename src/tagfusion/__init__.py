@@ -44,7 +44,6 @@ from .evalkit import (
 )
 from .fusion import (
     ScoreBounds,
-    average_fuse,
     borda_rank,
     late_fuse,
     minmax_normalize,
@@ -62,7 +61,7 @@ from .learning import (
     AscentResult,
     GradientConfig,
     GradientResult,
-    LabeledPair,
+    PairSampleError,
     PerConceptResult,
     coordinate_ascent,
     learn_distance_weights,

@@ -31,12 +31,11 @@ from .fusion import (
 from .learning import (
     AscentConfig,
     GradientConfig,
+    _fit_pairs,
+    _label_matrix,
     coordinate_ascent,
-    learn_distance_weights,
     learn_distance_weights_per_concept,
     learn_per_concept,
-    pair_feature_distances,
-    sample_pairs,
 )
 from .neighbors import calibrate_normalizers
 from .presets import (
@@ -358,18 +357,18 @@ def cmd_learn(args: argparse.Namespace) -> int:
             seed=derive_seed(int(opts["seed"]), "calibration"),
         )
         gcfg = GradientConfig()
-        pairs = sample_pairs(
-            qrels, collection, int(opts["pairs"]), seed=derive_seed(int(opts["seed"]), "pairs")
+        rows, labels = _label_matrix(qrels, collection)
+        result = _fit_pairs(
+            collection, rows, labels, feature_names, normalizers,
+            int(opts["pairs"]), derive_seed(int(opts["seed"]), "pairs"), gcfg,
         )
-        d = pair_feature_distances(collection, pairs, feature_names, normalizers)
-        result = learn_distance_weights(d, [p.label for p in pairs], feature_names, gcfg)
         log_lines.append("# global")
         for it, wvec in enumerate(result.weight_trace, start=1):
             for name, w in zip(feature_names, wvec):
                 log_lines.append(f"{it}\t{name}\t{w!r}\t{result.trace[it]!r}")
         if opts["per_concept"]:
             pc = learn_distance_weights_per_concept(
-                collection, qrels, feature_names, normalizers,
+                collection, qrels.tags(), rows, labels, feature_names, normalizers,
                 n_pairs=int(opts["pairs"]),
                 min_pos=int(opts["min_pos"]),
                 seed=derive_seed(int(opts["seed"]), "pairs-per-concept"),

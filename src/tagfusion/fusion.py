@@ -136,12 +136,6 @@ def late_fuse(
     )
 
 
-def average_fuse(tables: Sequence[ScoreTable], name: str | None = None) -> ScoreTable:
-    """Uniform late fusion: late_fuse with lambda_i = 1/m."""
-    wv = WeightVector.uniform(tuple(t.estimator for t in tables))
-    return late_fuse(tables, wv, name=name)
-
-
 def borda_rank(tables: Sequence[ScoreTable]) -> list[str]:
     """Rank aggregation by summed Borda points (n - rank), integer arithmetic.
 

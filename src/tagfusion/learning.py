@@ -2,7 +2,9 @@
 
 Early fusion weights come from distance metric learning: minimize the squared
 gap between exp(-combined distance) and the pair label (1 = images share a
-concept) by projected gradient descent on the simplex. Late fusion weights
+concept) by projected gradient descent on the simplex. The judged images and
+their relevance form one label matrix (`_label_matrix`); a training pair is
+a pair of its rows, from the sampler to the gradient fit. Late fusion weights
 come from coordinate ascent on a rank metric (AP or NDCG) of a float
 approximation of the fused ranking, with a bidirectional growing-step line
 search per coordinate whose candidates are scored in one batch, with the
@@ -13,6 +15,7 @@ weights when a tag has too few relevant training items.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -22,15 +25,6 @@ from .collection import Collection
 from .estimators import ScoreTable
 from .evalkit import Qrels, rank_metric
 from .neighbors import DistanceNormalizer, WeightVector
-
-
-@dataclass(frozen=True)
-class LabeledPair:
-    """Unordered training pair; label 1 iff the images share a concept."""
-
-    x: str
-    x_other: str
-    label: int
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
@@ -51,18 +45,25 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
 
 
 _ENUMERATE_LIMIT = 5_000_000  # pairs per listing run; beyond, negatives are drawn
+_FILL_CHUNK = 1 << 16  # mask entries read into ordinals at a time
 
 
-def _label_matrix(qrels: Qrels, c: Collection) -> tuple[list[str], np.ndarray]:
-    """Judged images of `c` in id order, and their (images x concepts) relevance."""
+class PairSampleError(ValueError):
+    """A label matrix yields no pair sample: too few images or pairs asked
+    for, or a class without pairs."""
+
+
+def _label_matrix(qrels: Qrels, c: Collection) -> tuple[np.ndarray, np.ndarray]:
+    """The collection row of each judged image of `c`, in image-id order, and
+    their (images x concepts) relevance, one column per `qrels.tags()`."""
     tags = qrels.tags()
     universe = sorted({i for t in tags for i in qrels.judgments[t] if i in c})
-    row = {image_id: k for k, image_id in enumerate(universe)}
+    position = {image_id: k for k, image_id in enumerate(universe)}
     labels = np.zeros((len(universe), len(tags)), dtype=bool)
     for j, t in enumerate(tags):
-        rows = [row[i] for i, rel in qrels.judgments[t].items() if rel == 1 and i in row]
-        labels[rows, j] = True
-    return universe, labels
+        members = [position[i] for i, rel in qrels.judgments[t].items() if rel == 1 and i in position]
+        labels[members, j] = True
+    return np.fromiter(map(c.index_of, universe), dtype=np.intp, count=len(universe)), labels
 
 
 def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
@@ -82,9 +83,9 @@ def _sample_sizes(n_pos: int, n_neg: int, n_pairs: int) -> tuple[int, int]:
     """Pairs to take from each listed class: half each where possible; a
     scarce class gives all its pairs and the other tops the sample up."""
     if not n_pos:
-        raise ValueError("no positive pairs available")
+        raise PairSampleError("no positive pairs available")
     if not n_neg:
-        raise ValueError("no negative pairs available")
+        raise PairSampleError("no negative pairs available")
     want_pos = min(n_pairs // 2, n_pos)
     want_neg = min(n_pairs - want_pos, n_neg)
     if want_neg < n_pairs - want_pos:  # negatives scarce: top up with positives
@@ -105,25 +106,38 @@ def _positive_ordinals(labels: np.ndarray, row_start: np.ndarray) -> np.ndarray:
     Rows a (pairs (a, b > a)) are taken in runs of at most _ENUMERATE_LIMIT
     pairs (one row at least). Each run ORs every concept's flags into a
     one-byte-per-pair mask, one row slice per member image, so runs come out
-    sorted and disjoint: memory is one mask plus eight bytes per positive.
+    sorted and disjoint. One run is read off its mask directly; several are
+    counted first, then their masks are built again and read, a chunk at a
+    time, into one array: memory is one mask plus eight bytes per positive.
     """
     n = len(labels)
     cols = np.ascontiguousarray(labels.T)  # one concept's flags, contiguous
-    runs = []
-    lo = 0
-    while lo < n - 1:
-        end = np.searchsorted(row_start, row_start[lo] + _ENUMERATE_LIMIT, side="right")
-        hi = max(lo + 1, int(end) - 1)
+    bounds = [0]
+    while bounds[-1] < n - 1:
+        end = np.searchsorted(row_start, row_start[bounds[-1]] + _ENUMERATE_LIMIT, side="right")
+        bounds.append(max(bounds[-1] + 1, int(end) - 1))
+    runs = list(zip(bounds, bounds[1:]))
+
+    def shared(lo: int, hi: int) -> np.ndarray:
         base = row_start[lo]
-        shared = np.zeros(row_start[hi] - base, dtype=bool)
+        mask = np.zeros(row_start[hi] - base, dtype=bool)
         for col in cols:
             for a in (np.flatnonzero(col[lo:hi]) + lo).tolist():
-                shared[row_start[a] - base:row_start[a + 1] - base] |= col[a + 1:]
-        run = np.flatnonzero(shared)
-        run += base
-        runs.append(run)
-        lo = hi
-    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+                mask[row_start[a] - base:row_start[a + 1] - base] |= col[a + 1:]
+        return mask
+
+    if len(runs) == 1:  # the run starts at ordinal 0
+        return np.flatnonzero(shared(*runs[0]))
+    out = np.empty(sum(np.count_nonzero(shared(lo, hi)) for lo, hi in runs), dtype=np.intp)
+    k = 0
+    for lo, hi in runs:
+        mask = shared(lo, hi)
+        for s in range(0, len(mask), _FILL_CHUNK):
+            t = np.flatnonzero(mask[s:s + _FILL_CHUNK])
+            t += row_start[lo] + s
+            out[k:k + len(t)] = t
+            k += len(t)
+    return out
 
 
 def _codes(t: np.ndarray, row_start: np.ndarray) -> np.ndarray:
@@ -151,39 +165,34 @@ def _draw_pairs(
     return np.sort(got[:want])
 
 
-def _labeled(universe: list[str], codes: np.ndarray, label: int) -> list[LabeledPair]:
-    a, b = np.divmod(codes, len(universe))
-    return [LabeledPair(universe[i], universe[j], label) for i, j in zip(a.tolist(), b.tolist())]
+def sample_pairs(labels: np.ndarray, n_pairs: int, seed: int = 0) -> np.ndarray:
+    """Seeded sample of pairs of rows of an (images x concepts) label matrix
+    (`_label_matrix`), balanced 50/50 where possible: an int array of rows
+    a < b and the label, one pair per row (shape (pairs, 3)).
 
-
-def sample_pairs(
-    qrels: Qrels, c: Collection, n_pairs: int, seed: int = 0
-) -> list[LabeledPair]:
-    """Seeded sample of labeled pairs, balanced 50/50 where possible.
-
-    Pairs (a, b) of judged images, a < b by id, are positive iff they share a
-    concept. When there are at most 5M pairs, or the concepts hold at most 5M
-    pairs between them, the positives are listed (`_positive_ordinals`) and
-    sampled uniformly without replacement by `rng.choice`, which draws a
-    sample of at most a twentieth of its class by Floyd's algorithm, in time
-    and memory proportional to the sample; a scarce class contributes all its
-    pairs and the other tops the sample up to `n_pairs`. Negatives are then
-    sampled the same way, by rank among all pairs, up to 5M pairs, and drawn
-    by rejection beyond (`_draw_pairs`). Otherwise both classes are drawn by
-    rejection. Output holds positives, then negatives, each in lexicographic
-    order, and never a duplicate unordered pair. Raises if either class has
+    A pair is positive iff its rows share a concept. When there are at most
+    5M pairs, or the concepts hold at most 5M pairs between them, the
+    positives are listed (`_positive_ordinals`) and sampled uniformly without
+    replacement by `rng.choice`, which draws a sample of at most a twentieth
+    of its class by Floyd's algorithm, in time and memory proportional to
+    the sample; a scarce class contributes all its pairs and the other tops
+    the sample up to `n_pairs`. Negatives are then sampled the same way, by
+    rank among all pairs, up to 5M pairs, and drawn by rejection beyond
+    (`_draw_pairs`). Otherwise both classes are drawn by rejection. Output
+    holds positives, then negatives, each in lexicographic order, and never
+    a duplicate unordered pair. Raises `PairSampleError` if either class has
     no pairs at all.
     """
     if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    universe, labels = _label_matrix(qrels, c)
-    n = len(universe)
+        raise PairSampleError("n_pairs must be >= 1")
+    n = len(labels)
     if n < 2:
-        raise ValueError("need at least 2 judged training images")
+        raise PairSampleError("need at least 2 judged training images")
     rng = np.random.default_rng(seed)
 
     total_pairs = n * (n - 1) // 2
     concept_pairs = sum(m * (m - 1) // 2 for m in labels.sum(axis=0).tolist())
+    neg = None
     if min(total_pairs, concept_pairs) > _ENUMERATE_LIMIT:  # draw both classes
         want_neg = n_pairs - n_pairs // 2
         pos = _draw_pairs(rng, labels, n_pairs // 2, positive=True)
@@ -197,26 +206,27 @@ def sample_pairs(
             t -= np.arange(len(t))  # negatives before each positive pair
             neg = _choose(rng, total_pairs - len(t), want_neg)
             neg = _codes(neg + np.searchsorted(t, neg, side="right"), row_start)
-            return _labeled(universe, pos, 1) + _labeled(universe, neg, 0)
-    neg = _draw_pairs(rng, labels, want_neg, positive=False)
-    if not len(neg):
-        raise ValueError("no negative pairs found within the sampling budget")
-    return _labeled(universe, pos, 1) + _labeled(universe, neg, 0)
+    if neg is None:
+        neg = _draw_pairs(rng, labels, want_neg, positive=False)
+        if not len(neg):
+            raise PairSampleError("no negative pairs found within the sampling budget")
+    a, b = np.divmod(np.concatenate([pos, neg]), n)
+    return np.column_stack([a, b, np.repeat([1, 0], [len(pos), len(neg)])])
 
 
 def pair_feature_distances(
     c: Collection,
-    pairs: Sequence[LabeledPair],
+    pairs: np.ndarray,
     features: Sequence[str],
     normalizers: Mapping[str, DistanceNormalizer] | None = None,
 ) -> np.ndarray:
-    """(n_pairs, n_features) matrix of per-feature normalized L1 distances.
+    """(n_pairs, n_features) matrix of per-feature normalized L1 distances
+    between the collection rows `pairs[:, 0]` and `pairs[:, 1]`.
 
     Distances feeding the metric learner are MinMax-normalized (rank
     normalization is query-relative and has no meaning for a symmetric pair).
     """
-    ia = np.array([c.index_of(p.x) for p in pairs], dtype=np.intp)
-    ib = np.array([c.index_of(p.x_other) for p in pairs], dtype=np.intp)
+    ia, ib = pairs[:, 0], pairs[:, 1]
     out = np.empty((len(pairs), len(features)), dtype=np.float64)
     for j, f in enumerate(features):
         norm = (normalizers or {}).get(f, DistanceNormalizer(mode="none"))
@@ -537,9 +547,23 @@ def learn_per_concept(
     )
 
 
+def _fit_pairs(
+    c: Collection, rows: np.ndarray, labels: np.ndarray, features: Sequence[str],
+    normalizers: Mapping[str, DistanceNormalizer] | None, n_pairs: int, seed: int,
+    config: GradientConfig,
+) -> GradientResult:
+    """Distance weights fit on a seeded pair sample of `labels`, whose rows
+    are the collection rows `rows`."""
+    pairs = sample_pairs(labels, n_pairs, seed)
+    d = pair_feature_distances(c, rows[pairs[:, :2]], features, normalizers)
+    return learn_distance_weights(d, pairs[:, 2], features, config)
+
+
 def learn_distance_weights_per_concept(
     c: Collection,
-    qrels: Qrels,
+    tags: Sequence[str],
+    rows: np.ndarray,
+    labels: np.ndarray,
     features: Sequence[str],
     normalizers: Mapping[str, DistanceNormalizer] | None,
     n_pairs: int,
@@ -548,43 +572,21 @@ def learn_distance_weights_per_concept(
     config: GradientConfig = GradientConfig(),
     global_weights: WeightVector | None = None,
 ) -> PerConceptResult:
-    """Per-concept metric learning: pairs are drawn within one concept, a pair
-    being positive iff both images are relevant to that concept."""
+    """Per-concept metric learning on the label matrix (collection `rows`,
+    one column per tag) of `_label_matrix`: concept k samples its pairs from
+    column k with seed + k + 1, a pair being positive iff both images are
+    relevant to that concept. A concept with fewer than max(min_pos, 2)
+    relevant images, or whose column yields no pair sample, keeps the global
+    weights (fit with `seed` when not given) and is listed in `fallbacks`."""
     if global_weights is None:
-        pairs = sample_pairs(qrels, c, n_pairs, seed=seed)
-        d = pair_feature_distances(c, pairs, features, normalizers)
-        global_weights = learn_distance_weights(
-            d, [p.label for p in pairs], features, config
-        ).weights
-    per_concept: dict[str, WeightVector] = {}
-    fallbacks: set[str] = set()
-    all_judged = sorted(
-        {i for t in qrels.tags() for i in qrels.judgments[t] if i in c}
-    )
-    for k, tag in enumerate(qrels.tags()):
-        # concept-w view: every judged training image labeled by relevance to w,
-        # so negatives are "this concept's positives vs the others"
-        relevant_w = qrels.relevant(tag)
-        sub = Qrels(
-            judgments={tag: {i: 1 if i in relevant_w else 0 for i in all_judged}}
-        )
-        n_pos = len(relevant_w & frozenset(all_judged))
-        if n_pos < max(min_pos, 2):  # a positive pair needs two relevant images
-            per_concept[tag] = global_weights
-            fallbacks.add(tag)
+        global_weights = _fit_pairs(c, rows, labels, features, normalizers, n_pairs, seed, config).weights
+    per_concept = dict.fromkeys(tags, global_weights)
+    for k, tag in enumerate(tags):
+        if labels[:, k].sum() < max(min_pos, 2):  # a positive pair needs two relevant images
             continue
-        try:
-            pairs = sample_pairs(sub, c, n_pairs, seed=seed + k + 1)
-        except ValueError:
-            per_concept[tag] = global_weights
-            fallbacks.add(tag)
-            continue
-        d = pair_feature_distances(c, pairs, features, normalizers)
-        per_concept[tag] = learn_distance_weights(
-            d, [p.label for p in pairs], features, config
-        ).weights
-    return PerConceptResult(
-        global_weights=global_weights,
-        per_concept=per_concept,
-        fallbacks=frozenset(fallbacks),
-    )
+        with contextlib.suppress(PairSampleError):
+            per_concept[tag] = _fit_pairs(
+                c, rows, labels[:, [k]], features, normalizers, n_pairs, seed + k + 1, config
+            ).weights
+    fallbacks = frozenset(t for t, w in per_concept.items() if w is global_weights)
+    return PerConceptResult(global_weights, per_concept, fallbacks)

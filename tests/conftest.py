@@ -1,10 +1,12 @@
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tagfusion.collection import Collection, FeatureMatrix, ImageRecord
+from tagfusion.learning import _label_matrix, sample_pairs
 
 # Hypothesis caches the constants it reads from local modules in its storage
 # directory, which defaults to `.hypothesis/` in the working directory; keep
@@ -23,6 +25,24 @@ def make_collection(records, features=None):
         arr = np.asarray(rows, dtype=np.float64)
         fms[name] = FeatureMatrix(name=name, dim=arr.shape[1], matrix=arr)
     return Collection(recs, fms)
+
+
+@dataclass(frozen=True)
+class LabeledPair:
+    """A sampled training pair by image id; label 1 iff the images share a concept."""
+
+    x: str
+    x_other: str
+    label: int
+
+
+def labeled_sample(qrels, c, n_pairs, seed=0):
+    """`sample_pairs` on the label matrix of `qrels` over `c`, each pair's
+    label-matrix rows mapped back to image ids."""
+    rows, labels = _label_matrix(qrels, c)
+    ids = [c.images[r].image_id for r in rows.tolist()]
+    pairs = sample_pairs(labels, n_pairs, seed).tolist()
+    return [LabeledPair(ids[a], ids[b], label) for a, b, label in pairs]
 
 
 def line_collection(coords, tags_per_image=None, feature="f"):

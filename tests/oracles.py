@@ -5,13 +5,14 @@ blocked code paths are checked against them bit for bit.
 """
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from tagfusion.collection import Collection, images_with_tag
 from tagfusion.estimators import ScoreTable, TagSimilarityModel, _kde_sigma, vote_tables
 from tagfusion.evalkit import rank_metric
+from tagfusion.fusion import late_fuse
 from tagfusion.neighbors import DistanceNormalizer, WeightVector, distance_block
 
 
@@ -24,6 +25,12 @@ def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite components")
     return float(np.abs(a - b).sum())
+
+
+def average_fuse(tables: Sequence[ScoreTable], name: str | None = None) -> ScoreTable:
+    """Uniform late fusion: late_fuse with lambda_i = 1/m."""
+    wv = WeightVector.uniform(tuple(t.estimator for t in tables))
+    return late_fuse(tables, wv, name=name)
 
 
 def combined_distance(

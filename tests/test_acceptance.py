@@ -31,7 +31,6 @@ from tagfusion.evalkit import (
 )
 from tagfusion.fusion import (
     ScoreBounds,
-    average_fuse,
     borda_rank,
     late_fuse,
     minmax_normalize,
@@ -48,6 +47,7 @@ from tagfusion.learning import (
 from tagfusion.neighbors import NeighborList, WeightVector, knn
 
 from conftest import make_collection
+from oracles import average_fuse
 
 
 def _report(number, name, failures):

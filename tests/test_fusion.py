@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tagfusion.estimators import ScoreTable
 from tagfusion.fusion import (
     ScoreBounds,
-    average_fuse,
     borda_rank,
     late_fuse,
     minmax_normalize,
@@ -25,6 +24,7 @@ from tagfusion.fusion import (
 from tagfusion.neighbors import WeightVector
 
 from conftest import make_collection
+from oracles import average_fuse
 
 
 def table(scores, estimator="e", tag="w"):

@@ -15,18 +15,16 @@ from tagfusion.evalkit import Qrels, average_precision, ndcg_at
 from tagfusion.fusion import late_fuse
 from tagfusion.learning import (
     AscentConfig,
-    LabeledPair,
     _ConceptEval,
     coordinate_ascent,
     learn_distance_weights,
     learn_per_concept,
     pair_feature_distances,
-    sample_pairs,
     simplex_project,
 )
 from tagfusion.neighbors import DistanceNormalizer, WeightVector
 
-from conftest import make_collection
+from conftest import labeled_sample, make_collection
 from oracles import l1_distance, mean_metric_rows
 
 
@@ -90,7 +88,7 @@ class TestSamplePairs:
 
     def test_shared_concept_is_positive(self):
         c, q = self.toy()
-        pairs = sample_pairs(q, c, 200, seed=0)
+        pairs = labeled_sample(q, c, 200, seed=0)
         for p in pairs:
             shared = bool(
                 ({t for t in q.tags() if p.x in q.relevant(t)})
@@ -100,19 +98,19 @@ class TestSamplePairs:
 
     def test_balanced_split(self):
         c, q = self.toy()
-        pairs = sample_pairs(q, c, 1000, seed=1)
+        pairs = labeled_sample(q, c, 1000, seed=1)
         assert len(pairs) == 1000
         assert sum(p.label for p in pairs) == 500
 
     def test_no_duplicate_unordered_pairs(self):
         c, q = self.toy()
-        pairs = sample_pairs(q, c, 800, seed=2)
+        pairs = labeled_sample(q, c, 800, seed=2)
         keys = {frozenset((p.x, p.x_other)) for p in pairs}
         assert len(keys) == len(pairs)
 
     def test_deterministic(self):
         c, q = self.toy()
-        assert sample_pairs(q, c, 100, seed=3) == sample_pairs(q, c, 100, seed=3)
+        assert labeled_sample(q, c, 100, seed=3) == labeled_sample(q, c, 100, seed=3)
 
     def test_no_negative_pairs_available(self):
         records = [(f"x{i}", "u", []) for i in range(4)]
@@ -121,7 +119,7 @@ class TestSamplePairs:
         for i in range(4):
             q.add("c1", f"x{i}", 1)
         with pytest.raises(ValueError, match="negative"):
-            sample_pairs(q, c, 10)
+            labeled_sample(q, c, 10)
 
     def test_no_positive_pairs_available(self):
         records = [(f"x{i}", "u", []) for i in range(4)]
@@ -130,7 +128,7 @@ class TestSamplePairs:
         for i in range(4):
             q.add(f"c{i}", f"x{i}", 1)
         with pytest.raises(ValueError, match="positive"):
-            sample_pairs(q, c, 10)
+            labeled_sample(q, c, 10)
 
     def test_scarce_positives_fall_back_to_natural_proportions(self):
         records = [(f"x{i}", "u", []) for i in range(10)]
@@ -140,7 +138,7 @@ class TestSamplePairs:
         q.add("c1", "x1", 1)
         for i in range(2, 10):
             q.add(f"z{i}", f"x{i}", 1)
-        pairs = sample_pairs(q, c, 20, seed=4)
+        pairs = labeled_sample(q, c, 20, seed=4)
         assert len(pairs) == 20
         assert sum(p.label for p in pairs) == 1  # only one positive pair exists
 
@@ -153,18 +151,16 @@ class TestPairFeatureDistances:
             [(f"x{i:02d}", "u", []) for i in range(n)],
             {"f8": rng.normal(size=(n, 8)), "f64": rng.uniform(0, 3, size=(n, 64))},
         )
-        pairs = [
-            LabeledPair(f"x{a:02d}", f"x{b:02d}", int(rng.integers(0, 2)))
-            for a, b in rng.integers(0, n, size=(200, 2)) if a != b
-        ]
+        pairs = np.array([(a, b) for a, b in rng.integers(0, n, size=(200, 2)) if a != b])
         normalizers = {
             "f8": DistanceNormalizer("minmax", 0.0, 10.0),
             "f64": DistanceNormalizer("none"),
         }
         got = pair_feature_distances(c, pairs, ["f8", "f64"], normalizers)
-        for i, p in enumerate(pairs):
-            d8 = l1_distance(c.vector("f8", p.x), c.vector("f8", p.x_other))
-            d64 = l1_distance(c.vector("f64", p.x), c.vector("f64", p.x_other))
+        for i, (a, b) in enumerate(pairs.tolist()):
+            x, x_other = f"x{a:02d}", f"x{b:02d}"
+            d8 = l1_distance(c.vector("f8", x), c.vector("f8", x_other))
+            d64 = l1_distance(c.vector("f64", x), c.vector("f64", x_other))
             assert got[i, 0] == min(1.0, max(0.0, d8 / 10.0))
             assert got[i, 1] == d64
         assert 0 < (got[:, 0] == 1.0).sum() < len(pairs)  # the clamp is exercised
@@ -172,7 +168,7 @@ class TestPairFeatureDistances:
     def test_rankmax_rejected(self):
         c = make_collection([("a", "u", []), ("b", "u", [])], {"f": [[0.0], [1.0]]})
         with pytest.raises(ValueError):
-            pair_feature_distances(c, [LabeledPair("a", "b", 1)], ["f"], {"f": DistanceNormalizer("rankmax")})
+            pair_feature_distances(c, np.array([[0, 1]]), ["f"], {"f": DistanceNormalizer("rankmax")})
 
 
 class TestDistanceLearning:

@@ -14,12 +14,12 @@ from tagfusion.collection import SyntheticConfig, SyntheticFeature, generate_col
 from tagfusion.evalkit import Qrels
 from tagfusion.learning import (
     GradientConfig,
-    LabeledPair,
     learn_distance_weights_per_concept,
     sample_pairs,
 )
+from tagfusion.neighbors import DistanceNormalizer, WeightVector
 
-from conftest import make_collection
+from conftest import LabeledPair, labeled_sample, make_collection
 
 
 def list_sample_pairs(qrels, c, n_pairs, seed=0):
@@ -70,7 +70,7 @@ def outcome(sampler, qrels, c, n_pairs, seed):
 
 
 def assert_matches_reference(qrels, c, n_pairs, seed):
-    got = outcome(sample_pairs, qrels, c, n_pairs, seed)
+    got = outcome(labeled_sample, qrels, c, n_pairs, seed)
     assert got == outcome(list_sample_pairs, qrels, c, n_pairs, seed)
     return got
 
@@ -170,19 +170,56 @@ def test_per_concept_views_match_reference(monkeypatch):
     q = Qrels.from_ground_truth(truth)
     for k, rec in enumerate(c.images[:40]):  # images judged only 0
         q.add(f"zero{k % 3}", rec.image_id, 0)
+    rows, labels = learning._label_matrix(q, c)
+    ids = [c.images[r].image_id for r in rows.tolist()]
     calls = []
 
-    def checked(qrels, coll, n_pairs, seed=0):
-        calls.append(assert_matches_reference(qrels, coll, n_pairs, seed))
-        return sample_pairs(qrels, coll, n_pairs, seed)
+    def checked(view_labels, n_pairs, seed=0):
+        # the qrels these labels stand for: every judged image, per column
+        view = Qrels(judgments={
+            f"v{j:03d}": dict(zip(ids, col.astype(int).tolist()))
+            for j, col in enumerate(view_labels.T)
+        })
+        assert np.array_equal(learning._label_matrix(view, c)[1], view_labels)
+        if view_labels.shape[1] == 1:  # concept k samples with seed 11 + k + 1
+            tag = q.tags()[seed - 12]
+            assert view.judgments["v000"] == concept_view(q, c, tag).judgments[tag]
+        calls.append(assert_matches_reference(view, c, n_pairs, seed))
+        return sample_pairs(view_labels, n_pairs, seed)
 
     monkeypatch.setattr(learning, "sample_pairs", checked)
     result = learn_distance_weights_per_concept(
-        c, q, ["visa", "visb"], None, n_pairs=400, seed=11,
+        c, q.tags(), rows, labels, ["visa", "visb"], None, n_pairs=400, seed=11,
         config=GradientConfig(max_iter=2),
     )
     assert len(calls) == 1 + len(q.tags()) - len(result.fallbacks)
     assert sum(isinstance(r, list) for r in calls) > len(truth) // 2
+
+
+def test_per_concept_fallbacks():
+    """A concept with fewer than two relevant images, or whose column holds
+    no negative pair (every judged image relevant), takes the global
+    weights; an error of the fit itself is not taken for a fallback."""
+    c = make_collection(
+        [(f"x{i}", "u", []) for i in range(6)],
+        {"f": [[float(i)] for i in range(6)], "g": [[float(i % 2)] for i in range(6)]},
+    )
+    q = Qrels(judgments={
+        "all": {f"x{i}": 1 for i in range(6)},
+        "one": {"x0": 1, "x1": 0},
+        "two": {"x0": 1, "x1": 1, "x5": 0},
+    })
+    rows, labels = learning._label_matrix(q, c)
+    gw = WeightVector.normalized(("f", "g"), (0.25, 0.75))
+    args = (c, q.tags(), rows, labels, ["f", "g"])
+    result = learn_distance_weights_per_concept(*args, None, n_pairs=10, global_weights=gw)
+    assert result.fallbacks == {"all", "one"}
+    assert result.per_concept["all"] is gw and result.per_concept["one"] is gw
+    assert result.per_concept["two"] is not gw
+    with pytest.raises(ValueError, match="rankmax"):
+        learn_distance_weights_per_concept(
+            *args, {"f": DistanceNormalizer("rankmax")}, n_pairs=10, global_weights=gw
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +261,7 @@ DRAWN = {"c0": range(0, 3180), "c1": range(3180, 3200)}  # 5,054,800: too many t
 
 def test_scarce_positives_above_limit_stay_balanced():
     c, q = large_world({"c0": range(40)})  # 780 positive pairs
-    pairs = sample_pairs(q, c, 1000, seed=0)
+    pairs = labeled_sample(q, c, 1000, seed=0)
     assert [p.label for p in pairs] == [1] * 500 + [0] * 500
     check_sample(pairs, q)
 
@@ -232,20 +269,20 @@ def test_scarce_positives_above_limit_stay_balanced():
 @pytest.mark.parametrize("groups", [LISTED, DRAWN], ids=["positives-listed", "positives-drawn"])
 def test_sample_above_limit(groups):
     c, q = large_world(groups)
-    pairs = sample_pairs(q, c, 600, seed=1)
+    pairs = labeled_sample(q, c, 600, seed=1)
     assert [p.label for p in pairs] == [1] * 300 + [0] * 300
     check_sample(pairs, q)
     for label in (0, 1):
         keys = [(p.x, p.x_other) for p in pairs if p.label == label]
         assert keys == sorted(keys)
-    assert sample_pairs(q, c, 600, seed=1) == pairs
-    assert sample_pairs(q, c, 600, seed=2) != pairs
+    assert labeled_sample(q, c, 600, seed=1) == pairs
+    assert labeled_sample(q, c, 600, seed=2) != pairs
 
 
 def test_no_negatives_above_limit_raises():
     c, q = large_world({"c0": range(N_LARGE)})
     with pytest.raises(ValueError, match="negative"):
-        sample_pairs(q, c, 10, seed=0)
+        labeled_sample(q, c, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +334,7 @@ def traced_sample_peak():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pairs = sample_pairs(q, c, 2000, seed=0)
+        pairs = labeled_sample(q, c, 2000, seed=0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -332,7 +369,7 @@ def test_draw_is_uniform_without_replacement():
     want = dict(zip((1, 0), learning._sample_sizes(20, 25, n_pairs)))
     counts = {}
     for seed in range(seeds):
-        pairs = sample_pairs(q, c, n_pairs, seed)
+        pairs = labeled_sample(q, c, n_pairs, seed)
         assert len(set(pairs)) == len(pairs)
         for label, size in want.items():
             assert sum(p.label == label for p in pairs) == size
@@ -426,7 +463,7 @@ def test_lister_runs_match_np_unique(labels):
 
 # ---------------------------------------------------------------------------
 # every branch bit-identical to the samples recorded before the lister was
-# shared (sha256 of repr(sample_pairs(...)), seeds 0-2)
+# shared (sha256 of repr(labeled_sample(...)), seeds 0-2)
 # ---------------------------------------------------------------------------
 
 BIG_CONCEPT = {"c0": range(0, 3100), "c1": range(3100, 3200)}  # 4,808,400 positive pairs
@@ -465,7 +502,7 @@ def test_samples_match_pinned_hashes(name):
     groups, n, n_pairs, hashes = PINNED[name]
     c, q = large_world(groups, n)
     for seed, want in enumerate(hashes):
-        got = hashlib.sha256(repr(sample_pairs(q, c, n_pairs, seed=seed)).encode()).hexdigest()
+        got = hashlib.sha256(repr(labeled_sample(q, c, n_pairs, seed=seed)).encode()).hexdigest()
         assert got == want, (name, seed)
 
 
@@ -473,8 +510,8 @@ def test_lister_runs_bound_the_mask(monkeypatch):
     """The mask spans one run of at most _ENUMERATE_LIMIT pairs, not every
     pair: listing 127,255 positives of 5,118,400 pairs in runs of 10,000
     pairs keeps the traced peak within 1 MiB of the ordinals (eight bytes
-    each, eight more while runs are joined), where one mask over every
-    pair would add 5,118,400 bytes."""
+    each; the bound allows eight more), where one mask over every pair
+    would add 5,118,400 bytes."""
     import tracemalloc
 
     labels = group_labels(LISTED)
@@ -494,7 +531,7 @@ def test_lister_runs_bound_the_mask(monkeypatch):
 def test_lister_memory_per_positive_pair():
     """Above 5M pairs the positives are listed in runs of at most 5M pairs:
     the traced peak stays near eight bytes per positive for the listed
-    ordinals, eight more while the runs are joined, and one mask."""
+    ordinals, plus one mask; the bound allows twelve bytes more."""
     import tracemalloc
 
     c, q = large_world(BIG_CONCEPT)
@@ -502,9 +539,49 @@ def test_lister_memory_per_positive_pair():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pairs = sample_pairs(q, c, 600, seed=0)
+        pairs = labeled_sample(q, c, 600, seed=0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert [p.label for p in pairs] == [1] * 300 + [0] * 300
     assert peak / n_pos <= 20
+
+
+def test_lister_fills_one_array():
+    """Runs are counted first and read into one preallocated array, so the
+    traced peak of listing the 3100+100 world's 4,808,400 positives in two
+    runs is eight bytes per positive plus one run's mask (at most
+    _ENUMERATE_LIMIT bytes) and a chunk's ordinals, with no copy of the
+    ordinals to join the runs."""
+    import tracemalloc
+
+    labels = group_labels(BIG_CONCEPT)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = learning._positive_ordinals(labels, row_starts(N_LARGE))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 3100 * 3099 // 2 + 100 * 99 // 2
+    assert peak <= 8 * len(t) + learning._ENUMERATE_LIMIT + (2 << 20)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(labels=label_matrices(), n_pairs=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_sample_length_is_its_pair_count(labels, n_pairs, seed):
+    """`len()` of a sample is its number of pairs: `n_pairs` whenever each
+    class holds its half, which the per-layer `learning.pairs` count of the
+    benchmark reads."""
+    n = len(labels)
+    n_pos = len(triu_codes(labels))
+    n_neg = n * (n - 1) // 2 - n_pos
+    if min(n_pos, n_neg) < 1 or n_pos < n_pairs // 2 or n_neg < n_pairs - n_pairs // 2:
+        return
+    pairs = sample_pairs(labels, n_pairs, seed)
+    assert pairs.shape == (n_pairs, 3) and len(pairs) == n_pairs
+
+
+@pytest.mark.parametrize("groups", [LISTED, DRAWN], ids=["positives-listed", "positives-drawn"])
+def test_sample_length_above_limit(groups):
+    assert len(sample_pairs(group_labels(groups), 600, seed=3)) == 600

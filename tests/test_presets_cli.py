@@ -678,3 +678,63 @@ class TestCliLearnBatchedObjective:
             batched = (tmp_path / "batched" / name).read_bytes()
             assert batched == (tmp_path / "scalar" / name).read_bytes()
         assert len((tmp_path / "batched" / "learn.log").read_text().splitlines()) > 5
+
+
+# sha256 of the `learn --scheme early` files on `early_world`, recorded
+# before training pairs became label-matrix rows; "-" where no file is written
+EARLY_LEARN_PINNED = {
+    "global": {
+        "weights-global.tsv": "8880e9b0ea57257b3bb4a2594742395e767e00c77cb9fb0c7f8e09123a82dfc4",
+        "weights-concepts.tsv": "-",
+        "learn.log": "ddb88cfc9984e92763541a558616c87954174101fd80b6b6f6cdeaa3bc175c25",
+    },
+    "per-concept": {
+        "weights-global.tsv": "8880e9b0ea57257b3bb4a2594742395e767e00c77cb9fb0c7f8e09123a82dfc4",
+        "weights-concepts.tsv": "38cbc4806102ab94d02a265545fb0be3648233a0f2829d47a414aa4bc1543f7e",
+        "learn.log": "ddb88cfc9984e92763541a558616c87954174101fd80b6b6f6cdeaa3bc175c25",
+    },
+}
+
+
+class TestCliLearnEarlyPinned:
+    def early_world(self, tmp_path):
+        """A seeded synth world whose qrels also hold images judged only 0,
+        a concept with one relevant image, one judged only 0 and one whose
+        relevant images are missing from the collection."""
+        world = tmp_path / "world"
+        assert main([
+            "synth", "--out", str(world), "--images", "200", "--tags", "6",
+            "--features", "visa:3,visb:3", "--seed", "29",
+        ]) == 0
+        q = read_qrels(world / "qrels.tsv")
+        for tag in q.tags():
+            for image_id in sorted(q.relevant(tag))[:4]:  # now judged only 0
+                q.add(tag, image_id, 0)
+        q.add("solo", "img000007", 1)
+        for image_id in ("img000011", "img000012", "img000013"):
+            q.add("solo", image_id, 0)
+            q.add("none", image_id, 0)
+        q.add("ghost", "nope000001", 1)
+        q.add("ghost", "nope000002", 1)
+        write_qrels(world / "qrels.tsv", q)
+        return [
+            "learn", "--tags", str(world / "tags.tsv"),
+            "--features", f"{world / 'visa.tsv'},{world / 'visb.tsv'}",
+            "--qrels", str(world / "qrels.tsv"), "--scheme", "early",
+            "--pairs", "300", "--seed", "13",
+        ]
+
+    @pytest.mark.parametrize("mode", sorted(EARLY_LEARN_PINNED))
+    def test_learn_files_match_pinned_hashes(self, tmp_path, mode):
+        import hashlib
+
+        args = self.early_world(tmp_path)
+        out = tmp_path / mode
+        per_concept = ["--per-concept"] if mode == "per-concept" else []
+        assert main(args + per_concept + ["--out", str(out)]) == 0
+        got = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            if (out / name).exists() else "-"
+            for name in EARLY_LEARN_PINNED[mode]
+        }
+        assert got == EARLY_LEARN_PINNED[mode]
