@@ -18,10 +18,7 @@ from .estimators import (
     ScoreTable,
     TagSimilarityModel,
     build_tag_similarity,
-    early_fused_score,
     kde_table,
-    neighbor_vote,
-    neighbor_vote_table,
     semantic_field_score,
     semantic_field_table,
     tag_position_score,
@@ -44,7 +41,6 @@ from .evalkit import (
 )
 from .fusion import (
     ScoreBounds,
-    borda_rank,
     late_fuse,
     minmax_normalize,
     neighbor_vote_bounds,
@@ -74,11 +70,9 @@ from .learning import (
 from .neighbors import (
     CalibrationError,
     DistanceNormalizer,
-    NeighborList,
     WeightVector,
     calibrate_normalizer,
     calibrate_normalizers,
-    knn,
 )
 from .presets import (
     ScoreSettings,

@@ -39,8 +39,8 @@ class ScoreTable:
     """Per-(tag, image) scores of one estimator over a candidate set.
 
     The candidate set is the set of images labeled with the tag in the
-    scored collection. `meta` carries provenance such as the bounds used by
-    MinMax normalization.
+    collection. `meta` carries provenance such as the bounds used by MinMax
+    normalization.
     """
 
     estimator: str
@@ -111,67 +111,54 @@ def vote_tables(
     metric: str | WeightVector,
     normalizers: Mapping[str, DistanceNormalizer] | None,
     k: int,
-    scored: Collection | None = None,
 ) -> dict[str, ScoreTable]:
     """Neighbor-vote tables of every tag in `tags`, one top-k pass per image.
 
     `metric` is a feature name (raw L1, a `tagrel:<feature>` table) or a
     WeightVector (combined distance, an `earlyfuse` table), as in `knn`.
-    Neighbors and tag priors come from the source `c`; candidates, the
-    images of `scored` (default: the source) that carry a requested tag,
-    are searched once each, 64 at a time, whatever number of tags they
-    carry. Votes are counted only for the requested tags a candidate
-    carries, so memory does not grow with the vocabulary. An image present
-    in both collections is never its own neighbor. Each score is
+    Candidates, the images of `c` that carry a requested tag, are searched
+    once each as collection rows, 64 at a time, whatever number of tags
+    they carry. Votes are counted only for the requested tags a candidate
+    carries, so memory does not grow with the vocabulary. Each score is
     bit-identical to neighbor_vote over knn for its candidate.
     """
     if len(c) == 0:
-        raise ValueError("empty source collection")
+        raise ValueError("empty collection")
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = scored if scored is not None else c
     wanted = set(tags)
-    cand = sorted(set().union(*(images_with_tag(scored, w) for w in wanted)))
+    cand = sorted(set().union(*(images_with_tag(c, w) for w in wanted)))
     if isinstance(metric, str):
-        estimator, meta, features = f"tagrel:{metric}", {}, {metric}
+        estimator, meta = f"tagrel:{metric}", {}
     else:
-        estimator, meta, features = "earlyfuse", {"weights": metric}, set(metric.names)
+        estimator, meta = "earlyfuse", {"weights": metric}
     columns = {w: np.fromiter(map(c.index_of, images_with_tag(c, w)), int) for w in wanted}
     votes: dict[str, list[np.ndarray]] = {w: [] for w in wanted}
-    for start in range(0, len(cand), 64):
-        block = cand[start : start + 64]
-        own = np.array([c.index_of(x) if x in c else -1 for x in block])
-        qvecs = {f: np.stack([scored.vector(f, x) for x in block]) for f in features}
-        taken = top_k(distance_block(c, metric, qvecs, own, normalizers), k, c.id_rank)
+    rows = np.fromiter(map(c.index_of, cand), int, len(cand))
+    for start in range(0, len(rows), 64):
+        block = rows[start : start + 64]
+        taken = top_k(distance_block(c, metric, block, normalizers), k, c.id_rank)
         carriers: dict[str, list[int]] = {}
-        for b, x in enumerate(block):
-            for w in wanted.intersection(scored.record(x).tags):
+        for b, i in enumerate(block):
+            for w in wanted.intersection(c.images[i].tags):
                 carriers.setdefault(w, []).append(b)
         for w, bs in carriers.items():
             votes[w].append(taken[np.ix_(bs, columns[w])].sum(axis=1))
     tables: dict[str, ScoreTable] = {}
     for w in tags:
-        ids = sorted(images_with_tag(scored, w))
+        ids = sorted(images_with_tag(c, w))
         counts = np.concatenate(votes[w]) if votes[w] else np.zeros(0)
         scores = counts / k - tag_prior(c, w)
         tables[w] = ScoreTable(estimator, w, dict(zip(ids, scores.tolist())), dict(meta))
     return tables
 
 
-def neighbor_vote_table(
-    c: Collection,
-    w: str,
-    feature: str,
-    k: int,
-    scored: Collection | None = None,
-) -> ScoreTable:
-    """Neighbor-vote scores for every candidate image of tag `w`.
+def neighbor_vote_table(c: Collection, w: str, feature: str, k: int) -> ScoreTable:
+    """Neighbor-vote scores for every candidate image of tag `w` in `c`.
 
-    Neighbors are drawn from the source collection `c`; candidates (images
-    labeled `w`) live in `scored`, which defaults to the source itself.
     Bit-identical to calling neighbor_vote over knn per candidate.
     """
-    return vote_tables(c, [w], feature, None, k, scored)[w]
+    return vote_tables(c, [w], feature, None, k)[w]
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +175,9 @@ def tag_position_score(rec: ImageRecord, w: str) -> float:
     return 1.0 - (pos - 1) / len(rec.tags)
 
 
-def tag_position_table(
-    c: Collection,
-    w: str,
-    scored: Collection | None = None,
-) -> ScoreTable:
-    scored = scored if scored is not None else c
-    cand = sorted(images_with_tag(scored, w))
-    scores = {x: tag_position_score(scored.record(x), w) for x in cand}
+def tag_position_table(c: Collection, w: str) -> ScoreTable:
+    cand = sorted(images_with_tag(c, w))
+    scores = {x: tag_position_score(c.record(x), w) for x in cand}
     return ScoreTable(estimator="tagposition", tag=w, scores=scores)
 
 
@@ -269,15 +251,9 @@ def semantic_field_score(rec: ImageRecord, w: str, model: TagSimilarityModel) ->
     return sum(model.sim(w, t) for t in others) / len(others)
 
 
-def semantic_field_table(
-    c: Collection,
-    w: str,
-    model: TagSimilarityModel,
-    scored: Collection | None = None,
-) -> ScoreTable:
-    scored = scored if scored is not None else c
-    cand = sorted(images_with_tag(scored, w))
-    scores = {x: semantic_field_score(scored.record(x), w, model) for x in cand}
+def semantic_field_table(c: Collection, w: str, model: TagSimilarityModel) -> ScoreTable:
+    cand = sorted(images_with_tag(c, w))
+    scores = {x: semantic_field_score(c.record(x), w, model) for x in cand}
     return ScoreTable(estimator="semanticfield", tag=w, scores=scores)
 
 
@@ -311,41 +287,31 @@ def kde_table(
     feature: str,
     sample_cap: int = 500,
     seed: int = 0,
-    scored: Collection | None = None,
 ) -> ScoreTable:
-    """Kernel-density scores for every candidate of `w`.
+    """Kernel-density scores for every image of `w`.
 
-    A candidate x scores the mean Gaussian kernel exp(-d^2 / sigma^2) over
-    the L1 distances d from x to the images of `w` in the source `c` other
-    than x (its support). sigma is the tag's median pairwise distance
-    (seeded sample). A support larger than `sample_cap` is cut to a seeded
-    sample that depends only on the support size, so it is drawn once per
-    size; a tag has at most two sizes, with and without the candidate.
-    Candidates are scored in blocks of 64 from one pairwise_l1 block to the
-    tag's source images. A candidate with an empty support scores 0.0.
+    An image x scores the mean Gaussian kernel exp(-d^2 / sigma^2) over
+    the L1 distances d from x to the other images of `w` (its support).
+    sigma is the tag's median pairwise distance (seeded sample). Every
+    support has the same size, so a support larger than `sample_cap` is cut
+    to one seeded sample of positions, drawn once per tag. Images are
+    scored in blocks of 64 from one pairwise_l1 block to the tag's images.
+    An image with an empty support scores 0.0.
     """
-    scored = scored if scored is not None else c
-    cand = sorted(images_with_tag(scored, w))
     members = sorted(images_with_tag(c, w))
-    slot = {x: j for j, x in enumerate(members)}
     source = c.feature(feature).matrix[np.array([c.index_of(x) for x in members], dtype=int)]
     sigma = _kde_sigma(c, w, feature, sample_cap, seed)
-    picks: dict[int, np.ndarray] = {}  # support size -> sorted support positions
-    for size in {len(members) - (x in slot) for x in cand}:
-        if size > sample_cap:
-            rng = np.random.default_rng(seed)
-            picks[size] = np.sort(rng.choice(size, size=sample_cap, replace=False))
-        else:
-            picks[size] = np.arange(size)
+    size = len(members) - 1
+    cols = np.arange(size)
+    if size > sample_cap:
+        cols = np.sort(np.random.default_rng(seed).choice(size, size=sample_cap, replace=False))
     scores: dict[str, float] = {}
-    for start in range(0, len(cand), 64):
-        block = cand[start : start + 64]
-        dist = pairwise_l1(np.stack([scored.vector(feature, x) for x in block]), source)
-        for row, x in zip(dist, block):
-            j = slot.get(x)
-            cols = picks[len(members) - (j is not None)]
-            d = row[cols] if j is None else row[cols + (cols >= j)]  # skip x's own slot
-            scores[x] = float(np.mean(np.exp(-(d * d) / (sigma * sigma)))) if len(d) else 0.0
+    for start in range(0, len(members), 64):
+        dist = pairwise_l1(source[start : start + 64], source)
+        for j, row in enumerate(dist, start):
+            d = row[cols + (cols >= j)]  # skip the image's own slot
+            score = np.mean(np.exp(-(d * d) / (sigma * sigma))) if len(d) else 0.0
+            scores[members[j]] = float(score)
     return ScoreTable(
         estimator=f"tagranking:{feature}",
         tag=w,

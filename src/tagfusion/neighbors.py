@@ -289,29 +289,28 @@ def calibrate_normalizers(
 def distance_block(
     c: Collection,
     metric: str | WeightVector,
-    query_vecs: Mapping[str, np.ndarray],
-    own: np.ndarray,
+    rows: np.ndarray,
     normalizers: Mapping[str, DistanceNormalizer] | None = None,
 ) -> np.ndarray:
-    """(B, n) distances from B query rows to every image of `c`.
+    """(B, n) distances from the images at collection rows `rows` to every image of `c`.
 
     `metric` is a feature name (raw L1) or a WeightVector (the combined
-    distance; normalizers default to pass-through). `query_vecs` maps each
-    feature to its (B, dim) query rows, and `own[b]` is the index of query b
-    in `c`, or -1 when it is not there. That slot is nan in every feature's
-    block before normalization: a query is never its own neighbor nor a
-    RankMax candidate. A feature of weight 0 is skipped; its block would add
-    only zeros while its distances are finite.
+    distance; normalizers default to pass-through). Each query's own slot,
+    column `rows[b]` of row b, is nan in every feature's block before
+    normalization: a query is never its own neighbor nor a RankMax
+    candidate. A feature of weight 0 is skipped; its block would add only
+    zeros while its distances are finite.
     """
     if isinstance(metric, str):
-        d = pairwise_l1(query_vecs[metric], c.feature(metric).matrix)
-        d[own >= 0, own[own >= 0]] = np.nan
+        matrix = c.feature(metric).matrix
+        d = pairwise_l1(matrix[rows], matrix)
+        d[np.arange(len(rows)), rows] = np.nan
         return d
-    combined = np.zeros((len(own), len(c)), dtype=np.float64)
+    combined = np.zeros((len(rows), len(c)), dtype=np.float64)
     for name, lam in zip(metric.names, metric.weights):
         if lam == 0.0:
             continue
-        d = distance_block(c, name, query_vecs, own)
+        d = distance_block(c, name, rows)
         (normalizers or {}).get(name, DistanceNormalizer(mode="none")).apply(d)
         d *= lam
         combined += d
@@ -356,8 +355,7 @@ def knn(
     if k < 1:
         raise ValueError("k must be >= 1")
     qi = c.index_of(query_id)
-    query_vecs = {f: fm.matrix[qi : qi + 1] for f, fm in c.features.items()}
-    dist = distance_block(c, feature_or_weights, query_vecs, np.array([qi]), normalizers)[0]
+    dist = distance_block(c, feature_or_weights, np.array([qi]), normalizers)[0]
     idx = np.nonzero(~np.isnan(dist))[0]
     take = idx[np.lexsort((c.id_rank[idx], dist[idx]))[:k]]
     entries = tuple((c.images[i].image_id, float(dist[i])) for i in take)

@@ -43,8 +43,7 @@ def combined_distance(
     """Weighted combination sum_i lambda_i * norm_i(d_i(x, x_other)); nan for x itself."""
     ix = c.index_of(x)
     io = c.index_of(x_other)
-    query_vecs = {name: c.feature(name).matrix[ix : ix + 1] for name in wv.names}
-    return float(distance_block(c, wv, query_vecs, np.array([ix]), normalizers)[0, io])
+    return float(distance_block(c, wv, np.array([ix]), normalizers)[0, io])
 
 
 def rankmax_rows(d: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -69,10 +68,9 @@ def early_fused_table(
     wv: WeightVector,
     normalizers: Mapping[str, DistanceNormalizer] | None,
     k: int,
-    scored: Collection | None = None,
 ) -> ScoreTable:
     """Early-fused voting scores for every candidate image of tag `w`."""
-    return vote_tables(c, [w], wv, normalizers, k, scored)[w]
+    return vote_tables(c, [w], wv, normalizers, k)[w]
 
 
 def from_pair_table(sims: Mapping[tuple[str, str], float]) -> TagSimilarityModel:
@@ -92,15 +90,14 @@ def tag_ranking_kde_score(
     sigma: float | None = None,
     sample_cap: int = 500,
     seed: int = 0,
-    scored: Collection | None = None,
 ) -> float:
     """Mean Gaussian kernel exp(-d^2 / sigma^2) from x to the other tagged images.
 
     sigma defaults to the median pairwise distance among the tagged images
     (seeded sample); the support sample is capped at `sample_cap`, also
-    seeded. x's vector comes from `scored` (default: the source `c`).
+    seeded.
     """
-    qvec = (scored if scored is not None else c).vector(feature, x)
+    qvec = c.vector(feature, x)
     support = sorted(images_with_tag(c, w) - {x})
     if not support:
         raise ValueError(f"tag {w!r} has no support images besides {x!r}")

@@ -142,26 +142,6 @@ class TestEarlyFusion:
         for x, s in table.scores.items():
             assert s == neighbor_vote(c, knn(c, "fa", x, 15), tag, 15)
 
-    def test_separate_scoring_and_voting_collections(self):
-        # neighbors and the tag prior come from the source; candidates live in
-        # the benchmark; shared ids are excluded from their own neighbor set
-        source = line_collection(
-            [0.0, 0.1, 0.2, 5.0, 5.1],
-            tags_per_image=[["w"], ["w"], ["w"], [], []],
-        )
-        benchmark = make_collection(
-            [("b0", "u", ["w"]), ("x000", "u", ["w"])],
-            {"f": [[0.05], [0.0]]},
-        )
-        table = neighbor_vote_table(source, "w", "f", 2, scored=benchmark)
-        assert set(table.scores) == {"b0", "x000"}
-        prior = tag_prior(source, "w")
-        # b0 at 0.05 sees the full tagged cluster of the source
-        assert table.scores["b0"] == pytest.approx(1.0 - prior)
-        # x000 shares an id with a source image, so that row is excluded
-        fabricated = knn(source, "f", "x000", 2)
-        assert table.scores["x000"] == neighbor_vote(source, fabricated, "w", 2)
-
 
 class TestTagPosition:
     def test_first_of_five(self):
@@ -326,39 +306,20 @@ class TestKde:
         assert full != capped
 
 
-def tie_heavy_world(rng, prefix, n, shared=()):
+def tie_heavy_world(rng, n):
     """n images with features quantized to {0, 1, 2} (duplicate vectors and
     tied distances abound); tags drawn from a small vocabulary, some images
-    untagged. `shared` lists (image_id, row) pairs of another collection whose
-    ids are reused, with a perturbed vector for every other one."""
+    untagged."""
     vocab = ["a", "b", "c"]
     records, rows = [], {"fa": [], "fb": []}
     for i in range(n):
         tags = [t for t in vocab if rng.random() < 0.4]
-        records.append((f"{prefix}{i:02d}", "u", tags))
+        records.append((f"s{i:02d}", "u", tags))
         rows["fa"].append(rng.integers(0, 3, size=2))
         rows["fb"].append(rng.integers(0, 3, size=3))
-    for j, (image_id, vecs) in enumerate(shared):
-        records.append((image_id, "u", ["a", "b"]))
-        for name in rows:
-            rows[name].append(vecs[name] + (j % 2))
     rows["fa"][1] = rows["fa"][0]  # exact duplicates in both features
     rows["fb"][1] = rows["fb"][0]
     records[0] = (records[0][0], "u", ["solo", "a"])  # a single-image tag
-    return make_collection(records, rows)
-
-
-def with_query(c, scored, x):
-    """Source collection with image x carrying its vectors from `scored`,
-    so knn over it sees exactly the neighbor rows a table scores x against."""
-    if scored is c:
-        return c
-    keep = [rec for rec in c.images if rec.image_id != x]
-    records = [(rec.image_id, rec.user_id, rec.tags) for rec in keep] + [(x, "u", [])]
-    rows = {
-        name: [c.vector(name, rec.image_id) for rec in keep] + [scored.vector(name, x)]
-        for name in c.features
-    }
     return make_collection(records, rows)
 
 
@@ -368,14 +329,8 @@ class TestVotingEngineDifferential:
     def test_tables_match_per_candidate_oracle_on_tie_heavy_worlds(self):
         tags = ("a", "b", "c", "solo", "absent")
         checked = 0
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            source = tie_heavy_world(rng, "s", 12)
-            shared = [
-                (rec.image_id, {f: source.vector(f, rec.image_id) for f in ("fa", "fb")})
-                for rec in source.images[2:6]
-            ]
-            bench = tie_heavy_world(rng, "b", 5, shared=shared)
+        for seed in range(9):  # seeds 0-5 alone check 3,735 scores, under the floor
+            source = tie_heavy_world(np.random.default_rng(seed), 12)
             n = len(source)
             metrics = [("fa", None), ("fb", None)]
             for mode in ("minmax", "rankmax", "none"):
@@ -383,34 +338,30 @@ class TestVotingEngineDifferential:
                 metrics.append((WeightVector.uniform(["fa", "fb"]), norms))
                 metrics.append((WeightVector.normalized(["fa", "fb", "fa"], [0.5, 0.3, 0.2]), norms))
             metrics.append((WeightVector.normalized(["fa", "fb"], [0.3, 0.7]), None))
-            for scored in (source, bench):
-                for k in (1, n - 2, n - 1, n, n + 3):
-                    for metric, norms in metrics:
-                        shared_pass = vote_tables(source, tags, metric, norms, k, scored=scored)
-                        for tag in tags:
-                            if isinstance(metric, str):
-                                table = neighbor_vote_table(source, tag, metric, k, scored=scored)
-                            else:
-                                table = early_fused_table(source, tag, metric, norms, k, scored=scored)
-                            expected = {}
-                            for x in sorted(images_with_tag(scored, tag)):
-                                if scored is source and not isinstance(metric, str):
-                                    expected[x] = early_fused_score(source, x, tag, metric, norms, k)
-                                    continue
-                                nl = knn(with_query(source, scored, x), metric, x, k, norms)
-                                expected[x] = neighbor_vote(source, nl, tag, k)
-                            key = (seed, scored is source, tag, k, metric)
-                            assert bits(table.scores) == bits(expected), key
-                            assert bits(shared_pass[tag].scores) == bits(expected), key
-                            assert shared_pass[tag].estimator == table.estimator
-                            checked += len(expected)
+            for k in (1, n - 2, n - 1, n, n + 3):
+                for metric, norms in metrics:
+                    shared_pass = vote_tables(source, tags, metric, norms, k)
+                    for tag in tags:
+                        if isinstance(metric, str):
+                            table = neighbor_vote_table(source, tag, metric, k)
+                        else:
+                            table = early_fused_table(source, tag, metric, norms, k)
+                        expected = {
+                            x: neighbor_vote(source, knn(source, metric, x, k, norms), tag, k)
+                            for x in sorted(images_with_tag(source, tag))
+                        }
+                        key = (seed, tag, k, metric)
+                        assert bits(table.scores) == bits(expected), key
+                        assert bits(shared_pass[tag].scores) == bits(expected), key
+                        assert shared_pass[tag].estimator == table.estimator
+                        checked += len(expected)
         assert checked > 5000
 
     def test_presets_and_training_tables_match_per_candidate_oracle(self):
         features = ("fa", "fb")
         checked = 0
         for seed in range(6):
-            source = tie_heavy_world(np.random.default_rng(seed), "s", 12)
+            source = tie_heavy_world(np.random.default_rng(seed), 12)
             n = len(source)
             tags = sorted(source.tag_index)
             glob = WeightVector.normalized(features, [0.4, 0.6])
@@ -473,35 +424,26 @@ class TestKdeDifferential:
     def test_table_matches_per_candidate_oracle_on_tie_heavy_worlds(self):
         checked = 0
         for seed in range(6):
-            rng = np.random.default_rng(seed)
-            source = tie_heavy_world(rng, "s", 12 if seed < 5 else 200)  # 200: several blocks
-            shared = [
-                (rec.image_id, {f: source.vector(f, rec.image_id) for f in ("fa", "fb")})
-                for rec in source.images[2:6]
-            ]
-            bench = tie_heavy_world(rng, "b", 5, shared=shared)
-            for scored in (source, bench):
-                for tag in ("a", "b", "c", "solo", "absent"):
-                    members = images_with_tag(source, tag)
-                    m = len(members)  # support sizes: m - 1 and m
-                    # caps below, at and above each support size
-                    for cap in sorted({1, 500} | {max(m + d, 1) for d in (-2, -1, 0, 1)}):
-                        for kde_seed in (0, 987654321):
-                            for f in ("fa", "fb"):
-                                table = kde_table(
-                                    source, tag, f, sample_cap=cap, seed=kde_seed, scored=scored
+            n = 12 if seed < 5 else 200  # 200: several blocks
+            source = tie_heavy_world(np.random.default_rng(seed), n)
+            for tag in ("a", "b", "c", "solo", "absent"):
+                members = images_with_tag(source, tag)
+                m = len(members)  # support size: m - 1
+                # caps below, at and above the support size
+                for cap in sorted({1, 500} | {max(m + d, 1) for d in (-2, -1, 0, 1)}):
+                    for kde_seed in (0, 987654321):
+                        for f in ("fa", "fb"):
+                            table = kde_table(source, tag, f, sample_cap=cap, seed=kde_seed)
+                            expected = {
+                                x: tag_ranking_kde_score(
+                                    source, x, tag, f, sample_cap=cap, seed=kde_seed
                                 )
-                                expected = {
-                                    x: tag_ranking_kde_score(
-                                        source, x, tag, f, sample_cap=cap, seed=kde_seed,
-                                        scored=scored,
-                                    )
-                                    if members - {x} else 0.0  # no support: scores 0.0
-                                    for x in sorted(images_with_tag(scored, tag))
-                                }
-                                key = (seed, scored is source, tag, cap, kde_seed, f)
-                                assert bits(table.scores) == bits(expected), key
-                                checked += len(expected)
+                                if m > 1 else 0.0  # no support: scores 0.0
+                                for x in sorted(members)
+                            }
+                            key = (seed, tag, cap, kde_seed, f)
+                            assert bits(table.scores) == bits(expected), key
+                            checked += len(expected)
         assert checked > 5000
 
 

@@ -221,15 +221,59 @@ class TestCombinedDistance:
         normalizers = {
             f: calibrate_normalizer(c, f, mode, 500, k) for k, f in enumerate(("fa", "fb", "fc"))
         }
-        query_vecs = {f: m[:9] for f, m in feats.items()}
-        own = np.array([0, 1, 2, 3, 4, 5, -1, 7, 8])
+        rows = np.array([0, 1, 2, 3, 4, 5, 39, 7, 8])
         for weights in ([0.4, 0.6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.25, 0.75]):
             wv = WeightVector(("fa", "fb", "fc"), tuple(weights))
-            full = np.zeros((len(own), n))
+            full = np.zeros((len(rows), n))
             for f, lam in zip(wv.names, wv.weights):
-                full += normalizers[f].apply(distance_block(c, f, query_vecs, own)) * lam
-            got = distance_block(c, wv, query_vecs, own, normalizers)
+                full += normalizers[f].apply(distance_block(c, f, rows)) * lam
+            got = distance_block(c, wv, rows, normalizers)
             assert got.tobytes() == full.tobytes()
+
+
+class TestDistanceBlockRows:
+    """Queries are collection rows: each row's own column is nan, nothing else changes."""
+
+    def world(self, n):
+        """n images on a grid of halves (tied distances), images 0 and 1 equal."""
+        rng = np.random.default_rng(n)
+        feats = {f: rng.integers(0, 3, size=(n, dim)) / 2 for f, dim in (("fa", 2), ("fb", 3))}
+        for m in feats.values():
+            m[1] = m[0]
+        return make_collection([(f"x{i:02d}", "u", []) for i in range(n)], feats), feats
+
+    CASES = [  # (n, rows): one query, repeated rows, more queries than images
+        (7, [3]),
+        (7, [0]),
+        (7, [0, 1, 0, 5, 5, 1]),
+        (7, [i % 7 for i in range(11)]),
+        (2, [1, 0, 1]),
+    ]
+
+    @pytest.mark.parametrize("n, rows", CASES)
+    def test_raw_block_is_pairwise_l1_with_own_column_nan(self, n, rows):
+        c, feats = self.world(n)
+        rows = np.array(rows)
+        own = np.zeros((len(rows), n), dtype=bool)
+        for b, i in enumerate(rows):
+            own[b, i] = True
+        for f, m in feats.items():
+            got = distance_block(c, f, rows)
+            raw = pairwise_l1(m[rows], m)
+            assert (np.isnan(got) == own).all()
+            assert got[~own].tobytes() == raw[~own].tobytes()
+
+    @pytest.mark.parametrize("n, rows", CASES)
+    def test_rankmax_block_never_ranks_the_query_itself(self, n, rows):
+        c, feats = self.world(n)
+        rows = np.array(rows)
+        wv = WeightVector.normalized(["fa", "fb"], [0.3, 0.7])
+        normalizers = {f: DistanceNormalizer("rankmax") for f in feats}
+        full = np.zeros((len(rows), n))
+        for f, lam in zip(wv.names, wv.weights):
+            full += rankmax_rows(pairwise_l1(feats[f][rows], feats[f]), rows) * lam
+        got = distance_block(c, wv, rows, normalizers)
+        assert got.tobytes() == full.tobytes()
 
 
 class TestKnn:

@@ -738,3 +738,100 @@ class TestCliLearnEarlyPinned:
             for name in EARLY_LEARN_PINNED[mode]
         }
         assert got == EARLY_LEARN_PINNED[mode]
+
+
+# sha256 of every `score` preset's run file on the world of
+# `pinned_run_hashes`, and of the `learn --per-concept` files its learning
+# presets read, recorded before neighbor queries became collection rows
+SCORE_PINNED = {
+    "learn-late-minmax/weights-global.tsv": "4ac0bf6e0d79ce164472143803715f6758f6ce7adca356240789d9462eb2a50b",
+    "learn-late-minmax/weights-concepts.tsv": "d537e2b57ec2699ebbf540ad83612b920da1bd16f217a5357db995482d646c6e",
+    "learn-late-minmax/learn.log": "5d3efd58a91e54582bfcb82c0a4e83055d3c75d608f04ca592f56101386971f4",
+    "learn-late-rankmax/weights-global.tsv": "4ac0bf6e0d79ce164472143803715f6758f6ce7adca356240789d9462eb2a50b",
+    "learn-late-rankmax/weights-concepts.tsv": "3a3c88fef402f985cdc8eba390feec615410bbc15666cbe57d5c5bc392f964f5",
+    "learn-late-rankmax/learn.log": "b815631e914370537f766b0281d76bc6df4374c7fa449fa2580dd17a759ad54a",
+    "learn-early-minmax/weights-global.tsv": "3cb92361f01fbddb859716ab581eb6e8d164e133857d18cbbb9442e5c9117794",
+    "learn-early-minmax/weights-concepts.tsv": "412fcf115acd4037a3f14d14e90e44c17a1c766ac9dd0198de20d5be1fe94d6f",
+    "learn-early-minmax/learn.log": "ac5681ebf07e38222e2cb5657fab4e5d16ee95bcda0ee0e3e7318ea40107d653",
+    "early-minmax-average": "3e5c3597c306346f346e484206dc3aca540647d59a97cb24d6c1702d768a94c5",
+    "early-minmax-learning": "51cfa11589d031161fa5bb1bf6cde7a1650c58bba3e7c3983e31307ee712d11e",
+    "early-minmax-learning+": "c41e0a5d7fab84048112bee68ef6a776e0f62f45084c35b68e4a1f950ac78487",
+    "early-rankmax-average": "1a5df3dfb09caece7412a739d5c83a5396d78462f1d9d343307898467abbc1a1",
+    "early-rankmax-learning": "5f47a7a3c77f4641122655dc08fcaf9e9fe5497a7723af47fc454a57bf0d589b",
+    "early-rankmax-learning+": "a2931d31d7d05ce9607dfb4221fc5a45917f1f41f4ef5f62913353cc9b8bf6c9",
+    "late-minmax-average": "f200cbe44f55d81a32ae60ca2fb33337a61258c28a7ab728b4c0265fa6810f01",
+    "late-minmax-learning": "223431a84bfb1ed9822dfc5161ec4fd22157d90820b92c814302cfb72df86153",
+    "late-minmax-learning+": "82ff5c0e9a901f82efa206130ebd45eb8f51b9cf06b5432fd55b31beed78e233",
+    "late-rankmax-average": "44977702a2101d59bdc343ddc622ccfe317841a8fcb837541ee56ac01715b7ae",
+    "late-rankmax-learning": "dd52f00604f7b62bb2cd62c49cb4aafee1cd48e988f0025ac8840e7c1b72c833",
+    "late-rankmax-learning+": "b95a3a204e1125f852b4b5ee49b5eecf15d43e136198b58d79ee613b646cddc4",
+    "tagrel-visa": "5373f911a0476bde372f499fd290113d3762f1ea5058e62e26800cd211114ede",
+    "tagrel-visb": "778fa860afb997186a1ddeee11d2fdf0170c4c03d299d23f3ebaae55422f66e1",
+    "tagposition": "7498e65f966e9887280628e0d19950783afb58ddd2fcedcb83787d8fc1ab9a9f",
+    "semanticfield": "4328d235da501bf6beee2afb58a7000efd1e3ad4edf1b43a7fb2188225c6c1a6",
+    "tagranking": "d85c56611d22f2ad6e365740fa58a2eb391b305ec495e9dd415288fad5fe0932",
+}
+
+
+class TestCliScorePinned:
+    """Run bytes of all presets over visa,visb, with a one-image tag (empty
+    KDE support), a two-image tag and a KDE sample cap below most tags'
+    support sizes."""
+
+    @pytest.fixture(scope="class")
+    def hashes(self, tmp_path_factory):
+        return pinned_run_hashes(tmp_path_factory.mktemp("pinned"))
+
+    def test_every_preset_and_learned_file_is_pinned(self, hashes):
+        assert sorted(hashes) == sorted(SCORE_PINNED)
+
+    @pytest.mark.parametrize("name", sorted(SCORE_PINNED))
+    def test_file_matches_pinned_hash(self, hashes, name):
+        assert hashes[name] == SCORE_PINNED[name]
+
+
+def pinned_run_hashes(tmp):
+    """sha256 of each learned file and preset run on the pinned world under `tmp`."""
+    import hashlib
+
+    flags = ["--k", "15", "--kde-sample-cap", "20", "--seed", "5"]
+    world = tmp / "world"
+    assert main([
+        "synth", "--out", str(world), "--images", "150", "--tags", "6",
+        "--features", "visa:3,visb:3", "--seed", "23",
+    ]) == 0
+    extra = {"img000003": " pair", "img000004": " pair", "img000005": " solo"}
+    lines = (world / "tags.tsv").read_text().splitlines()
+    (world / "tags.tsv").write_text(
+        "".join(line + extra.get(line.split("\t")[0], "") + "\n" for line in lines)
+    )
+    data = [
+        "--tags", str(world / "tags.tsv"),
+        "--features", f"{world / 'visa.tsv'},{world / 'visb.tsv'}",
+    ]
+    digest = {}
+    for scheme, norm in (("late", "minmax"), ("late", "rankmax"), ("early", "minmax")):
+        out = tmp / f"learn-{scheme}-{norm}"
+        assert main([
+            "learn", *data, "--qrels", str(world / "qrels.tsv"), "--scheme", scheme,
+            "--norm", norm, "--per-concept", "--pairs", "300", *flags,
+            "--out", str(out),
+        ]) == 0
+        for name in ("weights-global.tsv", "weights-concepts.tsv", "learn.log"):
+            digest[f"{out.name}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    for preset in available_presets(("visa", "visb")):
+        weights = []
+        if preset.endswith(("-learning", "-learning+")):
+            scheme, norm = preset.split("-")[:2]
+            learned = tmp / f"learn-{scheme}-{norm if scheme == 'late' else 'minmax'}"
+            weights = [
+                "--weights", str(learned / "weights-global.tsv"),
+                "--concept-weights", str(learned / "weights-concepts.tsv"),
+            ]
+        run_path = tmp / f"{preset}.run"
+        assert main([
+            "score", *data, "--preset", preset, *weights, *flags,
+            "--out", str(run_path),
+        ]) == 0
+        digest[preset] = hashlib.sha256(run_path.read_bytes()).hexdigest()
+    return digest
