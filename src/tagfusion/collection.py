@@ -7,6 +7,7 @@ Everything is immutable after construction, so concurrent readers are safe.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from array import array
 from dataclasses import dataclass, field
@@ -168,8 +169,15 @@ def tag_prior(c: Collection, w: str) -> float:
 
 
 def _read_lines(path: Path) -> list[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1)]
+    """(line number, line without its newline) of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1)]
+    except UnicodeDecodeError:  # read again, bad bytes as lone surrogates, to find the line
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            surrogate = re.compile("[\udc80-\udcff]").search
+            no = next(no for no, line in enumerate(fh, start=1) if surrogate(line))
+        raise ValueError(f"{path}:{no}: not valid UTF-8") from None
 
 
 def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) -> Collection:
@@ -177,7 +185,8 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
 
     Raises CollectionError naming the file, line, and offending image id for
     every format violation (missing row, dim mismatch, duplicate id,
-    non-finite value, duplicate tag), and naming the file and feature when
+    non-finite value, duplicate tag), naming the tags file when it holds no
+    image row, and naming the file and feature when
     the feature's widest L1 distance, sum_j (max_j - min_j), is not finite.
     """
     tags_path = Path(tags_path)
@@ -206,6 +215,8 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
         except CollectionError as exc:
             raise CollectionError(f"{tags_path}:{no}: {exc}") from None
 
+    if not records:
+        raise CollectionError(f"{tags_path}: no image rows")
     ids = [r.image_id for r in records]
 
     features: dict[str, FeatureMatrix] = {}
@@ -271,15 +282,14 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
                 + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
             )
         order = [rows[i] for i in ids]
-        matrix = np.frombuffer(parsed).reshape(-1, dim)[order] if ids else np.zeros((0, dim))
-        if ids:
-            with np.errstate(over="ignore", invalid="ignore"):
-                widest = float((matrix.max(axis=0) - matrix.min(axis=0)).sum())
-            if not math.isfinite(widest):
-                raise CollectionError(
-                    f"{fpath}: feature {name!r} has L1 distances that overflow: "
-                    "the widest, sum_j (max_j - min_j), exceeds the float range"
-                )
+        matrix = np.frombuffer(parsed).reshape(-1, dim)[order]
+        with np.errstate(over="ignore", invalid="ignore"):
+            widest = float((matrix.max(axis=0) - matrix.min(axis=0)).sum())
+        if not math.isfinite(widest):
+            raise CollectionError(
+                f"{fpath}: feature {name!r} has L1 distances that overflow: "
+                "the widest, sum_j (max_j - min_j), exceeds the float range"
+            )
         features[name] = FeatureMatrix(name=name, dim=dim, matrix=matrix)
 
     return Collection(records, features)

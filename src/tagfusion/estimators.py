@@ -29,40 +29,45 @@ from .neighbors import (
 )
 
 
-def ranking_of(scores: Mapping[str, float]) -> list[str]:
-    """Canonical retrieval order: descending score, ties by ascending id."""
-    return sorted(scores, key=lambda i: (-scores[i], i))
-
-
 @dataclass
 class ScoreTable:
-    """Per-(tag, image) scores of one estimator over a candidate set.
+    """Scores of one estimator for one tag over its candidate images.
 
-    The candidate set is the set of images labeled with the tag in the
-    collection. `meta` carries provenance such as the bounds used by MinMax
+    `ids` are the candidates, the images labeled with the tag, as a strictly
+    increasing tuple; `scores` is the float64 vector aligned with them.
+    `meta` carries provenance such as the bounds used by MinMax
     normalization.
     """
 
     estimator: str
     tag: str
-    scores: dict[str, float]
+    ids: tuple[str, ...]
+    scores: np.ndarray
     meta: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for image_id, s in self.scores.items():
-            if not math.isfinite(s):
-                raise ValueError(
-                    f"non-finite score for ({self.tag!r}, {image_id!r}) in {self.estimator!r}"
-                )
+        self.ids = tuple(self.ids)
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        if self.scores.shape != (len(self.ids),):
+            raise ValueError(f"{len(self.ids)} ids for scores of shape {self.scores.shape}")
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError(f"ids of {self.estimator!r} for {self.tag!r} must increase strictly")
+        bad = np.flatnonzero(~np.isfinite(self.scores))
+        if len(bad):
+            raise ValueError(
+                f"non-finite score for ({self.tag!r}, {self.ids[bad[0]]!r}) in {self.estimator!r}"
+            )
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return len(self.ids)
 
-    def ids(self) -> frozenset[str]:
-        return frozenset(self.scores)
+    def order(self) -> np.ndarray:
+        """Positions in retrieval order: descending score, ties by ascending
+        id (a stable sort of the id-sorted candidates)."""
+        return np.argsort(-self.scores, kind="stable")
 
     def ranking(self) -> list[str]:
-        return ranking_of(self.scores)
+        return [self.ids[i] for i in self.order().tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +151,9 @@ def vote_tables(
             votes[w].append(taken[np.ix_(bs, columns[w])].sum(axis=1))
     tables: dict[str, ScoreTable] = {}
     for w in tags:
-        ids = sorted(images_with_tag(c, w))
+        ids = tuple(sorted(images_with_tag(c, w)))
         counts = np.concatenate(votes[w]) if votes[w] else np.zeros(0)
-        scores = counts / k - tag_prior(c, w)
-        tables[w] = ScoreTable(estimator, w, dict(zip(ids, scores.tolist())), dict(meta))
+        tables[w] = ScoreTable(estimator, w, ids, counts / k - tag_prior(c, w), dict(meta))
     return tables
 
 
@@ -176,9 +180,9 @@ def tag_position_score(rec: ImageRecord, w: str) -> float:
 
 
 def tag_position_table(c: Collection, w: str) -> ScoreTable:
-    cand = sorted(images_with_tag(c, w))
-    scores = {x: tag_position_score(c.record(x), w) for x in cand}
-    return ScoreTable(estimator="tagposition", tag=w, scores=scores)
+    ids = tuple(sorted(images_with_tag(c, w)))
+    scores = [tag_position_score(c.record(x), w) for x in ids]
+    return ScoreTable("tagposition", w, ids, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +256,9 @@ def semantic_field_score(rec: ImageRecord, w: str, model: TagSimilarityModel) ->
 
 
 def semantic_field_table(c: Collection, w: str, model: TagSimilarityModel) -> ScoreTable:
-    cand = sorted(images_with_tag(c, w))
-    scores = {x: semantic_field_score(c.record(x), w, model) for x in cand}
-    return ScoreTable(estimator="semanticfield", tag=w, scores=scores)
+    ids = tuple(sorted(images_with_tag(c, w)))
+    scores = [semantic_field_score(c.record(x), w, model) for x in ids]
+    return ScoreTable("semanticfield", w, ids, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +302,18 @@ def kde_table(
     scored in blocks of 64 from one pairwise_l1 block to the tag's images.
     An image with an empty support scores 0.0.
     """
-    members = sorted(images_with_tag(c, w))
+    members = tuple(sorted(images_with_tag(c, w)))
     source = c.feature(feature).matrix[np.array([c.index_of(x) for x in members], dtype=int)]
     sigma = _kde_sigma(c, w, feature, sample_cap, seed)
     size = len(members) - 1
     cols = np.arange(size)
     if size > sample_cap:
         cols = np.sort(np.random.default_rng(seed).choice(size, size=sample_cap, replace=False))
-    scores: dict[str, float] = {}
+    scores = np.zeros(len(members))
     for start in range(0, len(members), 64):
         dist = pairwise_l1(source[start : start + 64], source)
         for j, row in enumerate(dist, start):
             d = row[cols + (cols >= j)]  # skip the image's own slot
-            score = np.mean(np.exp(-(d * d) / (sigma * sigma))) if len(d) else 0.0
-            scores[members[j]] = float(score)
-    return ScoreTable(
-        estimator=f"tagranking:{feature}",
-        tag=w,
-        scores=scores,
-        meta={"sigma": sigma},
-    )
+            if len(d):
+                scores[j] = np.mean(np.exp(-(d * d) / (sigma * sigma)))
+    return ScoreTable(f"tagranking:{feature}", w, members, scores, {"sigma": sigma})

@@ -55,16 +55,17 @@ def rank_metric(flags: np.ndarray, metric: str, cutoff: int = 100) -> float | np
     elif metric != "ap":
         raise ValueError(f"unknown metric {metric!r}")
     if flags.ndim == 1:
-        return float(_rank_metric_rows(flags[None], metric, cutoff)[0])
-    return _rank_metric_rows(flags, metric, cutoff)
-
-
-def _rank_metric_rows(flags: np.ndarray, metric: str, cutoff: int) -> np.ndarray:
-    rows, n = flags.shape
+        return float(_rank_metric_rows(flags[None], np.count_nonzero(flags), metric, cutoff)[0])
     counts = flags.sum(axis=1)  # array methods: numpy's wrappers dominate short rows
-    n_rel = int(counts[0]) if rows else 0
+    n_rel = int(counts[0]) if len(counts) else 0
     if (counts != n_rel).any():
         raise ValueError("every row of 2-D flags must set the same number of flags")
+    return _rank_metric_rows(flags, n_rel, metric, cutoff)
+
+
+def _rank_metric_rows(flags: np.ndarray, n_rel: int, metric: str, cutoff: int) -> np.ndarray:
+    """The metric of each row of (rows, n) flags that all set `n_rel` flags."""
+    rows, n = flags.shape
     if n_rel == 0:
         return np.zeros(rows)
     if metric == "ap":
@@ -320,7 +321,8 @@ def run_from_tables(run_id: str, tables: Iterable[ScoreTable]) -> RunFile:
     for t in tables:
         if t.tag in run.rankings:
             raise ValueError(f"duplicate table for tag {t.tag!r}")
-        run.rankings[t.tag] = tuple((x, t.scores[x]) for x in t.ranking())
+        order = t.order().tolist()
+        run.rankings[t.tag] = tuple(zip([t.ids[i] for i in order], t.scores[order].tolist()))
     return run
 
 

@@ -17,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .collection import Collection, _read_lines, tag_prior
 from .estimators import ScoreTable
 from .neighbors import WeightVector
@@ -48,22 +50,20 @@ def unit_bounds() -> ScoreBounds:
 
 def observed_bounds(st: ScoreTable) -> ScoreBounds:
     """Fallback for estimators without closed-form bounds (e.g. KDE)."""
-    if not st.scores:
+    if not len(st):
         raise ValueError("cannot take observed bounds of an empty table")
-    values = st.scores.values()
-    return ScoreBounds(lower=min(values), upper=max(values), source="observed")
+    # the first minimum and maximum in id order, as min() and max() take them
+    lower, upper = st.scores[[np.argmin(st.scores), np.argmax(st.scores)]].tolist()
+    return ScoreBounds(lower=lower, upper=upper, source="observed")
 
 
 def minmax_normalize(st: ScoreTable, bounds: ScoreBounds) -> ScoreTable:
-    """(g - min) / (max - min), clamped to [0, 1]."""
-    span = bounds.upper - bounds.lower
-    scores = {
-        x: min(1.0, max(0.0, (g - bounds.lower) / span)) for x, g in st.scores.items()
-    }
-    meta = dict(st.meta)
-    meta["minmax_bounds"] = (bounds.lower, bounds.upper)
-    meta["bounds_source"] = bounds.source
-    return ScoreTable(estimator=st.estimator, tag=st.tag, scores=scores, meta=meta)
+    """(g - min) / (max - min), clamped to [0, 1]; a nan or -0.0 quotient
+    clamps to 0.0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (st.scores - bounds.lower) / (bounds.upper - bounds.lower)
+    meta = {**st.meta, "minmax_bounds": (bounds.lower, bounds.upper), "bounds_source": bounds.source}
+    return ScoreTable(st.estimator, st.tag, st.ids, np.where(x > 0.0, np.minimum(x, 1.0), 0.0), meta)
 
 
 def _rank_unit(n: int) -> float:
@@ -78,25 +78,22 @@ def _rank_unit(n: int) -> float:
 
 def rankmax_normalize(st: ScoreTable) -> ScoreTable:
     """Scores become 1 - rank/n (rank 1-based, descending, id tie rule)."""
-    n = len(st.scores)
+    n = len(st)
     if n == 0:
         raise ValueError("cannot rank-normalize an empty table")
-    unit = _rank_unit(n)
-    scores: dict[str, float] = {}
-    for rank, x in enumerate(st.ranking(), start=1):
-        scores[x] = float(n - rank) * unit
-    return ScoreTable(estimator=st.estimator, tag=st.tag, scores=scores, meta=dict(st.meta))
+    scores = np.empty(n)
+    scores[st.order()] = np.arange(n - 1, -1, -1, dtype=np.float64) * _rank_unit(n)
+    return ScoreTable(st.estimator, st.tag, st.ids, scores, dict(st.meta))
 
 
-def _check_aligned(tables: Sequence[ScoreTable]) -> frozenset[str]:
+def _check_aligned(tables: Sequence[ScoreTable]) -> tuple[str, ...]:
     if not tables:
         raise ValueError("no tables to fuse")
-    tag = tables[0].tag
-    ids = tables[0].ids()
+    tag, ids = tables[0].tag, tables[0].ids
     for t in tables[1:]:
         if t.tag != tag:
             raise ValueError(f"tag mismatch: {t.tag!r} vs {tag!r}")
-        if t.ids() != ids:
+        if t.ids != ids:
             raise ValueError(
                 f"candidate-set mismatch between {tables[0].estimator!r} and {t.estimator!r}"
             )
@@ -121,19 +118,12 @@ def late_fuse(
     if total <= 0:
         raise ValueError("weights sum to zero")
     lams = [lam / total for lam in lams]  # exactly on the simplex in Q
-    scores: dict[str, float] = {}
-    for x in sorted(ids):
-        acc = Fraction(0)
-        for lam, t in zip(lams, tables):
-            acc += lam * Fraction(t.scores[x])
-        scores[x] = float(acc)
+    scores = [
+        float(sum(lam * Fraction(g) for lam, g in zip(lams, row)))
+        for row in zip(*(t.scores.tolist() for t in tables))
+    ]
     fused_name = name if name is not None else "latefuse[" + ",".join(t.estimator for t in tables) + "]"
-    return ScoreTable(
-        estimator=fused_name,
-        tag=tables[0].tag,
-        scores=scores,
-        meta={"weights": wv},
-    )
+    return ScoreTable(fused_name, tables[0].tag, ids, scores, {"weights": wv})
 
 
 def borda_rank(tables: Sequence[ScoreTable]) -> list[str]:
@@ -144,11 +134,10 @@ def borda_rank(tables: Sequence[ScoreTable]) -> list[str]:
     """
     ids = _check_aligned(tables)
     n = len(ids)
-    points = {x: 0 for x in ids}
+    points = np.zeros(n, dtype=np.int64)
     for t in tables:
-        for rank, x in enumerate(t.ranking(), start=1):
-            points[x] += n - rank
-    return sorted(points, key=lambda x: (-points[x], x))
+        points[t.order()] += np.arange(n - 1, -1, -1)
+    return [ids[i] for i in np.argsort(-points, kind="stable").tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .collection import Collection
 from .estimators import ScoreTable
 from .evalkit import Qrels, rank_metric
+from .fusion import _check_aligned
 from .neighbors import DistanceNormalizer, WeightVector
 
 
@@ -369,10 +370,8 @@ class _ConceptEval:
     """Precomputed candidate matrix for fast metric evaluation of one concept."""
 
     def __init__(self, tables: Sequence[ScoreTable], relevant: frozenset[str]) -> None:
-        ids = sorted(tables[0].ids())
-        self.matrix = np.array(
-            [[t.scores[x] for t in tables] for x in ids], dtype=np.float64
-        )
+        ids = _check_aligned(tables)
+        self.matrix = np.stack([t.scores for t in tables], axis=1)  # C order, one row per id
         self.rel = np.array([x in relevant for x in ids], dtype=bool)
 
     def metric(self, w_norm: np.ndarray, metric: str, cutoff: int) -> float | np.ndarray:
@@ -530,8 +529,7 @@ def learn_per_concept(
     traces: dict[str, tuple[AscentMove, ...]] = {}
     for tag in sorted(tables_per_concept):
         tables = tables_per_concept[tag]
-        candidates = tables[0].ids()
-        n_pos = len(qrels.relevant(tag) & candidates)
+        n_pos = len(qrels.relevant(tag).intersection(tables[0].ids))
         if n_pos < max(min_pos, 1):
             per_concept[tag] = global_weights
             fallbacks.add(tag)

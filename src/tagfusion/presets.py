@@ -12,6 +12,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .collection import Collection, images_with_tag
 from .estimators import (
     ScoreTable,
@@ -150,11 +152,10 @@ class EstimatorContext:
         # KDE has no closed-form range. A constant table (a tag on exactly
         # two images, for one) has no observed range either; mapping it to
         # 0.0 is a constant shift, which cannot reorder the fused run.
-        values = set(table.scores.values())
-        if len(values) == 1:
-            (value,) = values
+        if len(table) and table.scores.min() == table.scores.max():
+            value = float(table.scores[0])
             meta = {**table.meta, "minmax_bounds": (value, value), "bounds_source": "constant"}
-            return ScoreTable(table.estimator, tag, dict.fromkeys(table.scores, 0.0), meta)
+            return ScoreTable(table.estimator, tag, table.ids, np.zeros(len(table)), meta)
         return minmax_normalize(table, observed_bounds(table))
 
     def normalized_tables(self, tag: str, norm: str) -> list[ScoreTable]:

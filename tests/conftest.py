@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tagfusion.collection import Collection, FeatureMatrix, ImageRecord
 from tagfusion.learning import _label_matrix, sample_pairs
@@ -15,6 +16,11 @@ os.environ.setdefault(
     "HYPOTHESIS_STORAGE_DIRECTORY",
     str(Path(__file__).resolve().parent.parent / ".pytest_cache" / "hypothesis"),
 )
+
+# Every property test runs the same examples on every run and machine, with
+# no example database and no per-example deadline; tests set only how many.
+settings.register_profile("tagfusion", derandomize=True, database=None, deadline=None)
+settings.load_profile("tagfusion")
 
 
 def make_collection(records, features=None):

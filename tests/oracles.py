@@ -5,6 +5,7 @@ blocked code paths are checked against them bit for bit.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from tagfusion.collection import Collection, images_with_tag
 from tagfusion.estimators import ScoreTable, TagSimilarityModel, _kde_sigma, vote_tables
 from tagfusion.evalkit import rank_metric
-from tagfusion.fusion import late_fuse
+from tagfusion.fusion import ScoreBounds, _rank_unit, late_fuse
 from tagfusion.neighbors import DistanceNormalizer, WeightVector, distance_block
 
 
@@ -25,6 +26,55 @@ def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite components")
     return float(np.abs(a - b).sum())
+
+
+def dict_table(estimator: str, tag: str, scores: Mapping[str, float], meta=None) -> ScoreTable:
+    """A ScoreTable from an id -> score mapping, ids sorted."""
+    ids = sorted(scores)
+    return ScoreTable(estimator, tag, ids, [scores[x] for x in ids], dict(meta or {}))
+
+
+def scores_of(st: ScoreTable) -> dict[str, float]:
+    """A table's id -> score mapping, in id order, scores as Python floats."""
+    return dict(zip(st.ids, st.scores.tolist()))
+
+
+# Dict-keyed score-table operations, as the package computed them per image
+# before tables became arrays; each takes and returns id -> score mappings.
+
+
+def dict_ranking(scores: Mapping[str, float]) -> list[str]:
+    """Descending score, ties by ascending id."""
+    return sorted(scores, key=lambda i: (-scores[i], i))
+
+
+def dict_observed_bounds(scores: Mapping[str, float]) -> ScoreBounds:
+    return ScoreBounds(min(scores.values()), max(scores.values()), source="observed")
+
+
+def dict_minmax(scores: Mapping[str, float], bounds: ScoreBounds) -> dict[str, float]:
+    span = bounds.upper - bounds.lower
+    return {x: min(1.0, max(0.0, (g - bounds.lower) / span)) for x, g in scores.items()}
+
+
+def dict_rankmax(scores: Mapping[str, float]) -> dict[str, float]:
+    n = len(scores)
+    unit = _rank_unit(n)
+    return {x: float(n - rank) * unit for rank, x in enumerate(dict_ranking(scores), start=1)}
+
+
+def dict_late_fuse(tables: Sequence[Mapping[str, float]], weights: Sequence[float]) -> dict[str, float]:
+    """Per image, the exact rational sum of (w_i / sum w) * g_i, rounded once."""
+    lams = [Fraction(w) for w in weights]
+    total = sum(lams)
+    lams = [lam / total for lam in lams]
+    fused = {}
+    for x in sorted(tables[0]):
+        acc = Fraction(0)
+        for lam, t in zip(lams, tables):
+            acc += lam * Fraction(t[x])
+        fused[x] = float(acc)
+    return fused
 
 
 def average_fuse(tables: Sequence[ScoreTable], name: str | None = None) -> ScoreTable:

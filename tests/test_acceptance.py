@@ -47,7 +47,7 @@ from tagfusion.learning import (
 from tagfusion.neighbors import NeighborList, WeightVector, knn
 
 from conftest import make_collection
-from oracles import average_fuse
+from oracles import average_fuse, dict_table, scores_of
 
 
 def _report(number, name, failures):
@@ -80,21 +80,21 @@ def test_criterion_1_equation_oracles():
     check("neighbor_vote", neighbor_vote(c, nl, "w", 10), 0.3)
 
     # minmax: g = 0.3 against bounds [-0.1, 0.9]
-    st = ScoreTable("e", "w", {"a": 0.3})
-    check("minmax_normalize", minmax_normalize(st, ScoreBounds(-0.1, 0.9)).scores["a"], 0.4)
+    st = dict_table("e", "w", {"a": 0.3})
+    check("minmax_normalize", scores_of(minmax_normalize(st, ScoreBounds(-0.1, 0.9)))["a"], 0.4)
 
     # rankmax: top of 4 -> 0.75, bottom -> 0.0
-    st4 = ScoreTable("e", "w", {"a": 9.0, "b": 5.0, "c": 2.0, "d": 1.0})
-    rm = rankmax_normalize(st4)
-    check("rankmax_normalize top", rm.scores["a"], 0.75)
-    check("rankmax_normalize bottom", rm.scores["d"], 0.0)
+    st4 = dict_table("e", "w", {"a": 9.0, "b": 5.0, "c": 2.0, "d": 1.0})
+    rm = scores_of(rankmax_normalize(st4))
+    check("rankmax_normalize top", rm["a"], 0.75)
+    check("rankmax_normalize bottom", rm["d"], 0.0)
 
     # late_fuse: uniform over (0.2, 0.4) -> 0.3
     fused = late_fuse(
-        [ScoreTable("e0", "w", {"a": 0.2}), ScoreTable("e1", "w", {"a": 0.4})],
+        [dict_table("e0", "w", {"a": 0.2}), dict_table("e1", "w", {"a": 0.4})],
         WeightVector.uniform(["e0", "e1"]),
     )
-    check("late_fuse", fused.scores["a"], 0.3)
+    check("late_fuse", scores_of(fused)["a"], 0.3)
 
     # average precision: [R, N, R, N] -> (1 + 2/3) / 2
     check(
@@ -134,9 +134,7 @@ def test_criterion_2_borda_equivalence():
             values = rng.random(n)
             if quantize:
                 values = np.round(values * quantize) / quantize
-            tables.append(
-                ScoreTable(f"e{j}", "w", {x: float(v) for x, v in zip(ids, values)})
-            )
+            tables.append(ScoreTable(f"e{j}", "w", ids, values))
         fused = average_fuse([rankmax_normalize(t) for t in tables])
         if fused.ranking() != borda_rank(tables):
             failures.append(f"seed {seed}: rankmax-average ordering != Borda")
@@ -187,8 +185,7 @@ def test_criterion_3_reduction_properties():
         n_cand = int(rng.integers(2, 21))
         ids = [f"c{i:02d}" for i in range(n_cand)]
         tables = [
-            ScoreTable(f"e{j}", "w", {x: float(v) for x, v in zip(ids, rng.random(n_cand))})
-            for j in range(m)
+            ScoreTable(f"e{j}", "w", ids, rng.random(n_cand)) for j in range(m)
         ]
         if rng.random() < 0.5:
             normalized = [rankmax_normalize(t) for t in tables]
@@ -197,7 +194,7 @@ def test_criterion_3_reduction_properties():
         hot_idx = int(rng.integers(0, m))
         wv = WeightVector.one_hot([t.estimator for t in normalized], f"e{hot_idx}")
         out = late_fuse(normalized, wv)
-        if out.scores != normalized[hot_idx].scores:
+        if scores_of(out) != scores_of(normalized[hot_idx]):
             failures.append(f"seed {seed}: late one-hot != base table")
     _report(3, "one-hot reduction properties over 100 instances", failures)
 
@@ -229,8 +226,7 @@ def test_criterion_4_learner_monotonicity_and_optimality():
         n = int(rng.integers(3, 9))
         ids = [f"c{i}" for i in range(n)]
         tables = [
-            ScoreTable(f"e{j}", "w", {x: float(v) for x, v in zip(ids, rng.random(n))})
-            for j in range(2)
+            ScoreTable(f"e{j}", "w", ids, rng.random(n)) for j in range(2)
         ]
         n_rel = int(rng.integers(1, max(2, n // 2) + 1))
         relevant = frozenset(rng.choice(ids, size=n_rel, replace=False).tolist())
@@ -302,7 +298,7 @@ def _trend_world(seed):
 
 
 def _restrict(st, keep):
-    return ScoreTable(st.estimator, st.tag, {x: s for x, s in st.scores.items() if x in keep})
+    return dict_table(st.estimator, st.tag, {x: s for x, s in scores_of(st).items() if x in keep})
 
 
 def test_criterion_5_trend_reproduction():
@@ -355,14 +351,14 @@ def test_criterion_5_trend_reproduction():
         test_tables = {
             t: [_restrict(x, test_ids) for x in tabs] for t, tabs in tables.items()
         }
-        train_tables = {t: tabs for t, tabs in train_tables.items() if tabs[0].scores}
+        train_tables = {t: tabs for t, tabs in train_tables.items() if len(tabs[0])}
         uniform = WeightVector.uniform(["tagrel:visa", "tagrel:visb"])
         pc = learn_per_concept(
             train_tables, qrels, AscentConfig(seed=seed), min_pos=1, global_weights=uniform
         )
         ap_learned, ap_uniform = [], []
         for tag, tabs in test_tables.items():
-            if not tabs[0].scores:
+            if not len(tabs[0]):
                 continue
             rel = qrels.relevant(tag)
             wv = pc.per_concept.get(tag, uniform)

@@ -11,7 +11,6 @@ from tagfusion.collection import (
     tag_prior,
 )
 from tagfusion.estimators import (
-    ScoreTable,
     build_tag_similarity,
     early_fused_score,
     kde_table,
@@ -26,7 +25,7 @@ from tagfusion.neighbors import NeighborList, WeightVector, calibrate_normalizer
 from tagfusion.presets import ScoreSettings, build_training_tables, derive_seed, score_preset
 
 from conftest import line_collection, make_collection
-from oracles import early_fused_table, from_pair_table, tag_ranking_kde_score
+from oracles import dict_table, early_fused_table, from_pair_table, scores_of, tag_ranking_kde_score
 
 
 def fabricate_neighbors(query, ids):
@@ -131,15 +130,15 @@ class TestEarlyFusion:
         tag = "tag000"
         wv = WeightVector.uniform(["fa", "fb"])
         table = early_fused_table(c, tag, wv, None, 15)
-        for x, s in table.scores.items():
+        for x, s in scores_of(table).items():
             assert s == early_fused_score(c, x, tag, wv, None, 15)
 
     def test_vote_table_matches_per_call_scores(self):
         c, _ = clustered_collection(seed=3)
         tag = "tag001"
         table = neighbor_vote_table(c, tag, "fa", 15)
-        assert set(table.scores) == set(images_with_tag(c, tag))
-        for x, s in table.scores.items():
+        assert set(table.ids) == set(images_with_tag(c, tag))
+        for x, s in scores_of(table).items():
             assert s == neighbor_vote(c, knn(c, "fa", x, 15), tag, 15)
 
 
@@ -351,8 +350,8 @@ class TestVotingEngineDifferential:
                             for x in sorted(images_with_tag(source, tag))
                         }
                         key = (seed, tag, k, metric)
-                        assert bits(table.scores) == bits(expected), key
-                        assert bits(shared_pass[tag].scores) == bits(expected), key
+                        assert bits(scores_of(table)) == bits(expected), key
+                        assert bits(scores_of(shared_pass[tag])) == bits(expected), key
                         assert shared_pass[tag].estimator == table.estimator
                         checked += len(expected)
         assert checked > 5000
@@ -408,12 +407,12 @@ class TestVotingEngineDifferential:
                     assert sorted(training) == tags
                     for t in tags:
                         for table, f in zip(training[t], features):
-                            base = ScoreTable(f"tagrel:{f}", t, oracle[f][t])
+                            base = dict_table(f"tagrel:{f}", t, oracle[f][t])
                             if norm == "minmax":
                                 want = minmax_normalize(base, neighbor_vote_bounds(source, t))
                             else:
                                 want = rankmax_normalize(base)
-                            assert bits(table.scores) == bits(want.scores), (seed, k, norm, t, f)
+                            assert bits(scores_of(table)) == bits(scores_of(want)), (seed, k, norm, t, f)
                             checked += len(want.scores)
         assert checked > 4000
 
@@ -442,7 +441,7 @@ class TestKdeDifferential:
                                 for x in sorted(members)
                             }
                             key = (seed, tag, cap, kde_seed, f)
-                            assert bits(table.scores) == bits(expected), key
+                            assert bits(scores_of(table)) == bits(expected), key
                             checked += len(expected)
         assert checked > 5000
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagfusion import evalkit
-from tagfusion.estimators import ScoreTable
 from tagfusion.evalkit import (
     EvalFormatError,
     Qrels,
@@ -24,6 +23,8 @@ from tagfusion.evalkit import (
     write_qrels,
     write_run,
 )
+
+from oracles import dict_table
 
 
 def brute_average_precision(ranking, relevant):
@@ -86,7 +87,7 @@ class TestNdcg:
             ndcg_at(["a"], {"a"}, cutoff=0)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(flags=st.lists(st.booleans(), max_size=300), cutoff=st.integers(1, 320))
 @example(flags=[], cutoff=1)
 @example(flags=[False] * 7, cutoff=3)  # no relevant item
@@ -123,7 +124,7 @@ def test_cached_ndcg_discounts_match_the_uncached_formula_bitwise(monkeypatch):
             assert got.hex() == (dcg / idcg).hex(), (length, cutoff)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(
     flags=st.lists(st.booleans(), max_size=300),
     rows=st.integers(0, 6),
@@ -177,8 +178,8 @@ class TestMetricsSeeOnlyOrdering:
             n = int(rng.integers(2, 12))
             scores = {f"c{i}": float(v) for i, v in enumerate(rng.random(n))}
             relevant = {f"c{i}" for i in range(n) if rng.random() < 0.4}
-            t1 = ScoreTable("e", "w", scores)
-            t2 = ScoreTable("e", "w", {x: math.tanh(2 * v) + 3 for x, v in scores.items()})
+            t1 = dict_table("e", "w", scores)
+            t2 = dict_table("e", "w", {x: math.tanh(2 * v) + 3 for x, v in scores.items()})
             assert average_precision(t1.ranking(), relevant) == average_precision(
                 t2.ranking(), relevant
             )
@@ -413,7 +414,7 @@ _scores = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(pairs=st.lists(st.tuples(_scores, _scores), min_size=2, max_size=12))
 @example(pairs=[(0.0, 0.0), (0.0, 0.0)])
 @example(pairs=[(1 / 7, 0.0), (1 / 7, 0.0), (2 / 7, 0.0), (-1 / 7, 0.0)])
@@ -456,8 +457,8 @@ class TestQrelsIO:
 
 class TestRunIO:
     def run(self):
-        t1 = ScoreTable("e", "sky", {"x1": 0.9, "x2": 0.4, "x3": 0.4})
-        t2 = ScoreTable("e", "sea", {"x1": 0.1, "x9": 0.8})
+        t1 = dict_table("e", "sky", {"x1": 0.9, "x2": 0.4, "x3": 0.4})
+        t2 = dict_table("e", "sea", {"x1": 0.1, "x9": 0.8})
         return run_from_tables("myrun", [t1, t2])
 
     def test_tie_rule_in_run_construction(self):
@@ -507,7 +508,7 @@ class TestRunIO:
 class TestEvaluation:
     def test_perfect_run(self):
         run = run_from_tables(
-            "r", [ScoreTable("e", "sky", {"x1": 0.9, "x2": 0.1})]
+            "r", [dict_table("e", "sky", {"x1": 0.9, "x2": 0.1})]
         )
         q = Qrels()
         q.add("sky", "x1", 1)
@@ -516,7 +517,7 @@ class TestEvaluation:
         assert ev.mean_ap == 1.0
 
     def test_missing_tag_flagged_and_scored_zero(self):
-        run = run_from_tables("r", [ScoreTable("e", "sky", {"x1": 0.9})])
+        run = run_from_tables("r", [dict_table("e", "sky", {"x1": 0.9})])
         ev = evaluate_run(run, Qrels())
         assert ev.per_concept["sky"] == (0.0, 0.0)
         assert ev.unjudged_tags == {"sky"}
@@ -526,10 +527,10 @@ class TestEvaluation:
         q.add("easy", "x1", 1)
         q.add("hard", "x2", 1)
         both = run_from_tables("both", [
-            ScoreTable("e", "easy", {"x1": 0.9, "x2": 0.1}),
-            ScoreTable("e", "hard", {"x1": 0.9, "x2": 0.1}),
+            dict_table("e", "easy", {"x1": 0.9, "x2": 0.1}),
+            dict_table("e", "hard", {"x1": 0.9, "x2": 0.1}),
         ])
-        partial = run_from_tables("partial", [ScoreTable("e", "easy", {"x1": 0.9, "x2": 0.1})])
+        partial = run_from_tables("partial", [dict_table("e", "easy", {"x1": 0.9, "x2": 0.1})])
         assert evaluate_run(both, q).mean_ap == 0.75
         ev = evaluate_run(partial, q)
         assert ev.per_concept["hard"] == (0.0, 0.0)
@@ -542,10 +543,10 @@ class TestEvaluation:
         assert f"p\tAP\tboth\tpartial\t{randomization_test([1.0, 0.5], [1.0, 0.0]):.6g}" in report
 
     def test_report_contains_tables_and_pvalues(self):
-        t = ScoreTable("e", "sky", {"x1": 0.9, "x2": 0.5})
+        t = dict_table("e", "sky", {"x1": 0.9, "x2": 0.5})
         run1 = run_from_tables("alpha", [t])
         run2 = run_from_tables(
-            "beta", [ScoreTable("e", "sky", {"x1": 0.2, "x2": 0.5})]
+            "beta", [dict_table("e", "sky", {"x1": 0.2, "x2": 0.5})]
         )
         q = Qrels()
         q.add("sky", "x1", 1)
@@ -558,7 +559,7 @@ class TestEvaluation:
     def test_report_deterministic(self):
         rng = np.random.default_rng(4)
         tables = [
-            ScoreTable("e", f"t{k}", {f"x{i}": float(v) for i, v in enumerate(rng.random(6))})
+            dict_table("e", f"t{k}", {f"x{i}": float(v) for i, v in enumerate(rng.random(6))})
             for k in range(3)
         ]
         run = run_from_tables("r", tables)

@@ -24,11 +24,20 @@ from tagfusion.fusion import (
 from tagfusion.neighbors import WeightVector
 
 from conftest import make_collection
-from oracles import average_fuse
+from oracles import (
+    average_fuse,
+    dict_late_fuse,
+    dict_minmax,
+    dict_observed_bounds,
+    dict_rankmax,
+    dict_ranking,
+    scores_of,
+)
+from oracles import dict_table
 
 
 def table(scores, estimator="e", tag="w"):
-    return ScoreTable(estimator=estimator, tag=tag, scores=dict(scores))
+    return dict_table(estimator, tag, dict(scores))
 
 
 def random_tables(rng, m, n, quantize=None):
@@ -46,13 +55,13 @@ class TestMinMax:
     def test_hand_value(self):
         st = table({"a": 0.3})
         out = minmax_normalize(st, ScoreBounds(-0.1, 0.9))
-        assert out.scores["a"] == pytest.approx(0.4, abs=1e-9)
+        assert scores_of(out)["a"] == pytest.approx(0.4, abs=1e-9)
 
     def test_min_maps_to_zero_and_max_to_one(self):
         st = table({"a": -0.1, "b": 0.9})
         out = minmax_normalize(st, ScoreBounds(-0.1, 0.9))
-        assert out.scores["a"] == 0.0
-        assert out.scores["b"] == 1.0
+        assert scores_of(out)["a"] == 0.0
+        assert scores_of(out)["b"] == 1.0
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -61,7 +70,7 @@ class TestMinMax:
     def test_out_of_range_scores_clamped(self):
         st = table({"a": -5.0, "b": 5.0})
         out = minmax_normalize(st, ScoreBounds(0.0, 1.0))
-        assert out.scores == {"a": 0.0, "b": 1.0}
+        assert scores_of(out) == {"a": 0.0, "b": 1.0}
 
     def test_order_preserved(self):
         rng = np.random.default_rng(0)
@@ -90,24 +99,24 @@ class TestRankMax:
     def test_top_and_bottom_of_four(self):
         st = table({"a": 0.9, "b": 0.5, "c": 0.2, "d": 0.1})
         out = rankmax_normalize(st)
-        assert out.scores["a"] == pytest.approx(0.75, abs=1e-9)
-        assert out.scores["d"] == 0.0
+        assert scores_of(out)["a"] == pytest.approx(0.75, abs=1e-9)
+        assert scores_of(out)["d"] == 0.0
 
     def test_values_follow_one_minus_rank_over_n(self):
         st = table({f"c{i}": float(-i) for i in range(7)})
         out = rankmax_normalize(st)
         for rank, x in enumerate(st.ranking(), start=1):
-            assert out.scores[x] == pytest.approx(1 - rank / 7, abs=1e-9)
+            assert scores_of(out)[x] == pytest.approx(1 - rank / 7, abs=1e-9)
 
     def test_single_candidate_gets_zero(self):
         st = table({"only": 123.0})
-        assert rankmax_normalize(st).scores == {"only": 0.0}
+        assert scores_of(rankmax_normalize(st)) == {"only": 0.0}
 
     def test_invariant_under_strictly_increasing_transform(self):
         rng = np.random.default_rng(1)
         st = random_tables(rng, 1, 15)[0]
-        transformed = table({x: float(np.exp(3 * v) + 7) for x, v in st.scores.items()})
-        assert rankmax_normalize(st).scores == rankmax_normalize(transformed).scores
+        transformed = table({x: float(np.exp(3 * v) + 7) for x, v in scores_of(st).items()})
+        assert scores_of(rankmax_normalize(st)) == scores_of(rankmax_normalize(transformed))
 
     def test_order_preserved_with_tie_rule(self):
         st = table({"b": 0.5, "a": 0.5, "c": 0.1})
@@ -119,18 +128,18 @@ class TestRankMax:
         with pytest.raises(ValueError):
             rankmax_normalize(table({}))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(values=st.lists(st.integers(-20, 20).map(lambda v: v / 4), min_size=1, max_size=15))
     def test_invariant_under_strictly_increasing_score_transforms(self, values):
         base = table({f"c{i:02d}": v for i, v in enumerate(values)})
-        want = rankmax_normalize(base).scores
+        want = scores_of(rankmax_normalize(base))
         for transform in (lambda x: x**3 + x, math.exp, lambda x: math.atan(x) - 9.0):
-            moved = table({x: transform(v) for x, v in base.scores.items()})
-            assert rankmax_normalize(moved).scores == want
+            moved = table({x: transform(v) for x, v in scores_of(base).items()})
+            assert scores_of(rankmax_normalize(moved)) == want
 
 
 class TestLateFuse:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         m=st.integers(1, 5),
         n=st.integers(1, 8),
@@ -149,15 +158,15 @@ class TestLateFuse:
         permuted = WeightVector(
             tuple(wv.names[i] for i in perm), tuple(wv.weights[i] for i in perm)
         )
-        got = late_fuse([tables[i] for i in perm], permuted).scores
-        want = late_fuse(tables, wv).scores
+        got = scores_of(late_fuse([tables[i] for i in perm], permuted))
+        want = scores_of(late_fuse(tables, wv))
         assert {x: s.hex() for x, s in got.items()} == {x: s.hex() for x, s in want.items()}
 
     def test_hand_value(self):
         t1 = table({"a": 0.2}, estimator="e0")
         t2 = table({"a": 0.4}, estimator="e1")
         out = late_fuse([t1, t2], WeightVector.uniform(["e0", "e1"]))
-        assert out.scores["a"] == pytest.approx(0.3, abs=1e-9)
+        assert scores_of(out)["a"] == pytest.approx(0.3, abs=1e-9)
 
     def test_one_hot_reproduces_input_bitwise(self):
         rng = np.random.default_rng(2)
@@ -165,17 +174,17 @@ class TestLateFuse:
         for hot in range(3):
             wv = WeightVector.one_hot([t.estimator for t in tables], f"e{hot}")
             out = late_fuse(tables, wv)
-            assert out.scores == tables[hot].scores
+            assert scores_of(out) == scores_of(tables[hot])
 
     def test_identical_tables_fixed_point(self):
         rng = np.random.default_rng(3)
         base = random_tables(rng, 1, 9)[0]
         tables = [
-            table(base.scores, estimator=f"e{j}") for j in range(3)
+            table(scores_of(base), estimator=f"e{j}") for j in range(3)
         ]
         wv = WeightVector.normalized(["e0", "e1", "e2"], [0.2, 0.5, 0.9])
         out = late_fuse(tables, wv)
-        assert out.scores == base.scores
+        assert scores_of(out) == scores_of(base)
 
     def test_candidate_set_mismatch(self):
         t1 = table({"a": 0.2, "b": 0.1}, estimator="e0")
@@ -193,9 +202,9 @@ class TestLateFuse:
         tables = random_tables(rng, 4, 10)
         wv = WeightVector.normalized([t.estimator for t in tables], rng.random(4) + 0.05)
         out = late_fuse(tables, wv)
-        for x in out.scores:
-            values = [t.scores[x] for t in tables]
-            assert min(values) <= out.scores[x] <= max(values)
+        for x in out.ids:
+            values = [scores_of(t)[x] for t in tables]
+            assert min(values) <= scores_of(out)[x] <= max(values)
 
     def test_ranking_invariant_to_weight_scaling(self):
         rng = np.random.default_rng(5)
@@ -211,16 +220,16 @@ class TestLateFuse:
         rng = np.random.default_rng(6)
         tables = random_tables(rng, 3, 8)
         uniform = WeightVector.uniform([t.estimator for t in tables])
-        assert average_fuse(tables).scores == late_fuse(tables, uniform).scores
+        assert scores_of(average_fuse(tables)) == scores_of(late_fuse(tables, uniform))
 
     def test_average_of_midpoint(self):
         t1 = table({"a": 0.0}, estimator="e0")
         t2 = table({"a": 1.0}, estimator="e1")
-        assert average_fuse([t1, t2]).scores["a"] == 0.5
+        assert scores_of(average_fuse([t1, t2]))["a"] == 0.5
 
     def test_average_single_table_is_identity(self):
         t1 = table({"a": 0.37, "b": -0.4}, estimator="e0")
-        assert average_fuse([t1]).scores == t1.scores
+        assert scores_of(average_fuse([t1])) == scores_of(t1)
 
 
 class TestBorda:
@@ -249,6 +258,84 @@ class TestBorda:
         tables = random_tables(rng, 3, 5)
         fused = average_fuse([rankmax_normalize(t) for t in tables])
         assert fused.ranking() == borda_rank(tables)
+
+
+def hexes(scores):
+    return {x: float(v).hex() for x, v in scores.items()}
+
+
+# ties, both zeros, and values with no short binary expansion
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.1, 1 / 3, -2 / 3]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+WEIGHTS = st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 0.7, 1.0]), st.floats(0.0, 5.0))
+
+
+class TestArrayTablesMatchDictOracles:
+    """The array operations equal the dict-keyed code they replaced, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(
+        columns=st.integers(1, 8).flatmap(
+            lambda n: st.lists(st.lists(SCORES, min_size=n, max_size=n), min_size=1, max_size=4)
+        ),
+        weights=st.lists(WEIGHTS, min_size=4, max_size=4).filter(lambda w: sum(w) > 0),
+        lower=st.sampled_from([0.0, -0.0, -0.25, -1 / 3, -3.0]),
+        span=st.sampled_from([1.0, 0.1, 2 / 3, 7.0]),
+    )
+    def test_bit_identical(self, columns, weights, lower, span):
+        ids = [f"c{i:02d}" for i in range(len(columns[0]))]
+        dicts = [dict(zip(ids, col)) for col in columns]
+        tables = [dict_table(f"e{j}", "w", d) for j, d in enumerate(dicts)]
+        bounds = [unit_bounds(), ScoreBounds(lower, lower + span)]
+        for d, t in zip(dicts, tables):
+            assert t.ranking() == dict_ranking(d)
+            assert hexes(scores_of(rankmax_normalize(t))) == hexes(dict_rankmax(d))
+            if min(d.values()) < max(d.values()):
+                got, want = observed_bounds(t), dict_observed_bounds(d)
+                assert (got.lower.hex(), got.upper.hex()) == (want.lower.hex(), want.upper.hex())
+                bounds.append(got)
+            for b in bounds:
+                assert hexes(scores_of(minmax_normalize(t, b))) == hexes(dict_minmax(d, b))
+        w = weights[: len(tables)]
+        if sum(w) > 0:
+            wv = WeightVector.normalized([t.estimator for t in tables], w)
+            assert hexes(scores_of(late_fuse(tables, wv))) == hexes(dict_late_fuse(dicts, wv.weights))
+
+    def test_minmax_clamps_negative_zero_as_python_does(self):
+        # min(1.0, max(0.0, -0.0)) is 0.0, while np.clip keeps the sign
+        assert math.copysign(1.0, min(1.0, max(0.0, -0.0))) == 1.0
+        assert np.signbit(np.clip(-0.0, 0.0, 1.0))
+        out = minmax_normalize(table({"a": -0.0, "b": 0.5}), unit_bounds())
+        assert hexes(scores_of(out)) == {"a": "0x0.0p+0", "b": "0x1.0000000000000p-1"}
+
+    def test_nan_quotient_clamps_to_zero_as_python_does(self):
+        # (g - lower) / span is inf / inf when both overflow
+        st_ = table({"a": 1.5e308, "b": 0.0})
+        bounds = ScoreBounds(-1.5e308, 1.5e308)
+        assert hexes(scores_of(minmax_normalize(st_, bounds))) == hexes(dict_minmax(scores_of(st_), bounds))
+
+
+class TestScoreTable:
+    def test_ids_must_increase_strictly(self):
+        with pytest.raises(ValueError, match="must increase strictly"):
+            ScoreTable("e", "w", ("b", "a"), [0.1, 0.2])
+        with pytest.raises(ValueError, match="must increase strictly"):
+            ScoreTable("e", "w", ("a", "a"), [0.1, 0.2])
+
+    def test_scores_align_with_ids(self):
+        with pytest.raises(ValueError, match="2 ids"):
+            ScoreTable("e", "w", ("a", "b"), [0.1])
+
+    def test_non_finite_score_names_tag_and_image(self):
+        with pytest.raises(ValueError, match=r"non-finite score for \('w', 'b'\) in 'e'"):
+            ScoreTable("e", "w", ("a", "b"), [0.1, math.nan])
+
+    def test_ranking_breaks_ties_by_ascending_id(self):
+        t = ScoreTable("e", "w", ("a", "b", "c", "d"), [0.0, 1.0, -0.0, 1.0])
+        assert t.ranking() == ["b", "d", "a", "c"]
+        assert t.scores.dtype == np.float64
 
 
 class TestWeightFiles:

@@ -10,7 +10,7 @@ from tagfusion.collection import (
     generate_collection,
     images_with_tag,
 )
-from tagfusion.estimators import ScoreTable, neighbor_vote_table
+from tagfusion.estimators import neighbor_vote_table
 from tagfusion.evalkit import Qrels, average_precision, ndcg_at
 from tagfusion.fusion import late_fuse
 from tagfusion.learning import (
@@ -25,7 +25,7 @@ from tagfusion.learning import (
 from tagfusion.neighbors import DistanceNormalizer, WeightVector
 
 from conftest import labeled_sample, make_collection
-from oracles import l1_distance, mean_metric_rows
+from oracles import dict_table, l1_distance, mean_metric_rows
 
 
 def grid_ap_oracle(tables, relevant, resolution=0.005, metric="ap"):
@@ -238,8 +238,8 @@ class TestDistanceLearning:
 def perfect_and_inverted(n=10, n_rel=3, tag="w"):
     ids = [f"c{i:02d}" for i in range(n)]
     relevant = frozenset(ids[:n_rel])
-    good = ScoreTable("good", tag, {x: float(n - i) for i, x in enumerate(ids)})
-    bad = ScoreTable("bad", tag, {x: float(i) for i, x in enumerate(ids)})
+    good = dict_table("good", tag, {x: float(n - i) for i, x in enumerate(ids)})
+    bad = dict_table("bad", tag, {x: float(i) for i, x in enumerate(ids)})
     q = Qrels()
     for x in relevant:
         q.add(tag, x, 1)
@@ -345,7 +345,7 @@ def random_instances(rng, n=8, m=2, concepts=2):
         tag = f"t{k}"
         ids = [f"c{i:02d}" for i in range(n)]
         tabs = [
-            ScoreTable(f"e{j}", tag, {x: float(v) for x, v in zip(ids, rng.random(n))})
+            dict_table(f"e{j}", tag, {x: float(v) for x, v in zip(ids, rng.random(n))})
             for j in range(m)
         ]
         tables[tag] = tabs
@@ -368,8 +368,8 @@ class TestPerConcept:
             "e1": {x: float(6 - i) for i, x in enumerate(ids)},
         }
         tables = {
-            "t0": [ScoreTable("e0", "t0", t0["e0"]), ScoreTable("e1", "t0", t0["e1"])],
-            "t1": [ScoreTable("e0", "t1", t1["e0"]), ScoreTable("e1", "t1", t1["e1"])],
+            "t0": [dict_table("e0", "t0", t0["e0"]), dict_table("e1", "t0", t0["e1"])],
+            "t1": [dict_table("e0", "t1", t1["e0"]), dict_table("e1", "t1", t1["e1"])],
         }
         q = Qrels()
         for x in ids[:2]:
@@ -392,8 +392,8 @@ class TestPerConcept:
     def test_zero_positive_concept_falls_back_flagged(self):
         tables, q = self.two_concepts()
         tables["t2"] = [
-            ScoreTable("e0", "t2", {"c0": 0.5, "c1": 0.4}),
-            ScoreTable("e1", "t2", {"c0": 0.2, "c1": 0.9}),
+            dict_table("e0", "t2", {"c0": 0.5, "c1": 0.4}),
+            dict_table("e1", "t2", {"c0": 0.2, "c1": 0.9}),
         ]
         result = learn_per_concept(tables, q, AscentConfig(seed=0))
         assert "t2" in result.fallbacks
@@ -425,7 +425,7 @@ def batched_objectives(draw):
         ids = [f"c{i:02d}" for i in range(n)]
         scores = draw(st.lists(st.integers(0, quanta), min_size=n * m, max_size=n * m))
         tables = [
-            ScoreTable(f"e{j}", f"t{c}", {x: scores[i * m + j] / quanta for i, x in enumerate(ids)})
+            dict_table(f"e{j}", f"t{c}", {x: scores[i * m + j] / quanta for i, x in enumerate(ids)})
             for j in range(m)
         ]
         if draw(st.booleans()):
@@ -444,7 +444,7 @@ def batched_objectives(draw):
 
 
 class TestBatchedObjective:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(problem=batched_objectives())
     def test_batch_equals_scalar_oracle_bit_for_bit(self, problem):
         evals, raw, metric, cutoff = problem
@@ -463,8 +463,8 @@ class TestBatchedObjective:
         # every w_e0 above w_e1 ranks the relevant c1 first: the first such
         # candidate, 0.5 + delta0, wins the tie
         tables = {"w": [
-            ScoreTable("e0", "w", {"c0": 0.0, "c1": 1.0}),
-            ScoreTable("e1", "w", {"c0": 1.0, "c1": 0.0}),
+            dict_table("e0", "w", {"c0": 0.0, "c1": 1.0}),
+            dict_table("e1", "w", {"c0": 1.0, "c1": 0.0}),
         ]}
         q = Qrels()
         q.add("w", "c1", 1)
@@ -498,7 +498,7 @@ class TestBatchedObjective:
                 n = int(rng.integers(3, 30))
                 ids = [f"c{i:02d}" for i in range(n)]
                 tables[f"t{c}"] = [
-                    ScoreTable(f"e{j}", f"t{c}", {x: float(v) for x, v in zip(ids, rng.integers(0, 3, n) / 2)})
+                    dict_table(f"e{j}", f"t{c}", {x: float(v) for x, v in zip(ids, rng.integers(0, 3, n) / 2)})
                     for j in range(m)
                 ]
                 if c < 2 or seed % 2:  # otherwise a concept without relevant items

@@ -438,14 +438,14 @@ def with_own_nan(d, own):
 
 
 class TestRankMaxApply:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(block=distance_blocks())
     def test_block_matches_per_row_oracle_bitwise(self, block):
         d, own = block
         got = DistanceNormalizer("rankmax").apply(with_own_nan(d, own))
         assert got.tobytes() == rankmax_rows(d, own).tobytes()
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(block=distance_blocks(quantized=st.just(True)))
     def test_invariant_under_strictly_increasing_transforms(self, block):
         d, own = block  # on this grid each transform stays strictly increasing in floats

@@ -132,7 +132,7 @@ TWO_POSITIVE = (["a", "b"], {"c1": {"a": 1, "b": 1}})
 TWO_NEGATIVE = (["a", "b"], {"c1": {"a": 1, "b": 0}})
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(world=label_worlds(), n_pairs=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 @example(world=MULTI_LABEL, n_pairs=8, seed=0)
 @example(world=ONLY_ZERO, n_pairs=6, seed=1)
@@ -389,7 +389,7 @@ def test_draw_is_uniform_without_replacement():
 # ---------------------------------------------------------------------------
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(codes=st.lists(st.integers(0, 40), max_size=300), wide=st.booleans())
 def test_dedup_helpers_match_np_unique(codes, wide):
     codes = np.array(codes, dtype=np.intp) * (10**12 if wide else 1)  # many duplicates
@@ -451,7 +451,7 @@ def label_matrices(draw):
     return labels
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(labels=label_matrices())
 def test_lister_runs_match_np_unique(labels):
     """Any run length, down to one pair, lists the same sorted positives."""
@@ -567,7 +567,7 @@ def test_lister_fills_one_array():
     assert peak <= 8 * len(t) + learning._ENUMERATE_LIMIT + (2 << 20)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(labels=label_matrices(), n_pairs=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
 def test_sample_length_is_its_pair_count(labels, n_pairs, seed):
     """`len()` of a sample is its number of pairs: `n_pairs` whenever each

@@ -20,7 +20,7 @@ from tagfusion.neighbors import WeightVector
 from tagfusion.presets import ScoreSettings, available_presets, derive_seed, score_preset
 
 from conftest import make_collection
-from oracles import mean_metric_rows
+from oracles import mean_metric_rows, scores_of
 
 
 def small_world(seed=0, n=80, tags=4):
@@ -60,7 +60,7 @@ class TestScorePreset:
         for tag in run.tags():
             expected = neighbor_vote_table(c, tag, "visa", 10)
             assert run.ranking(tag) == expected.ranking()
-            assert dict(run.rankings[tag]) == expected.scores
+            assert dict(run.rankings[tag]) == scores_of(expected)
 
     def test_late_rankmax_average_matches_borda_oracle(self):
         c, _ = small_world(seed=1)
