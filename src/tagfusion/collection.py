@@ -169,12 +169,13 @@ def tag_prior(c: Collection, w: str) -> float:
 
 
 def _read_lines(path: Path) -> list[tuple[int, str]]:
-    """(line number, line without its newline) of a UTF-8 text file."""
+    """(line number, line without its newline) of a UTF-8 text file, without
+    a leading byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1)]
     except UnicodeDecodeError:  # read again, bad bytes as lone surrogates, to find the line
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             surrogate = re.compile("[\udc80-\udcff]").search
             no = next(no for no, line in enumerate(fh, start=1) if surrogate(line))
         raise ValueError(f"{path}:{no}: not valid UTF-8") from None

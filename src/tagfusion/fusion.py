@@ -35,6 +35,8 @@ class ScoreBounds:
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise ValueError(f"degenerate bounds [{self.lower}, {self.upper}]")
+        if not math.isfinite(self.upper - self.lower):  # MinMax would map the top to 0
+            raise ValueError(f"bounds [{self.lower}, {self.upper}] span more than a float")
 
 
 def neighbor_vote_bounds(c: Collection, w: str) -> ScoreBounds:

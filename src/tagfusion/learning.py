@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,8 +46,8 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_ENUMERATE_LIMIT = 5_000_000  # pairs per listing run; beyond, negatives are drawn
-_FILL_CHUNK = 1 << 16  # mask entries read into ordinals at a time
+_ENUMERATE_LIMIT = 5_000_000  # pairs per run of the one-byte mask
+_CHUNK = 1 << 16  # positive ordinals rewritten in place at a time
 
 
 class PairSampleError(ValueError):
@@ -65,19 +66,6 @@ def _label_matrix(qrels: Qrels, c: Collection) -> tuple[np.ndarray, np.ndarray]:
         members = [position[i] for i, rel in qrels.judgments[t].items() if rel == 1 and i in position]
         labels[members, j] = True
     return np.fromiter(map(c.index_of, universe), dtype=np.intp, count=len(universe)), labels
-
-
-def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one before."""
-    starts = np.ones(len(sorted_codes), dtype=bool)
-    starts[1:] = sorted_codes[1:] != sorted_codes[:-1]
-    return starts
-
-
-def _first_occurrences(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of `codes`, each at its first occurrence, in order."""
-    order = np.argsort(codes, kind="stable")
-    return codes[np.sort(order[_run_starts(codes[order])])]
 
 
 def _sample_sizes(n_pos: int, n_neg: int, n_pairs: int) -> tuple[int, int]:
@@ -99,19 +87,44 @@ def _choose(rng: np.random.Generator, n: int, want: int) -> np.ndarray:
     return np.sort(rng.choice(n, want, replace=False, shuffle=False))
 
 
-def _positive_ordinals(labels: np.ndarray, row_start: np.ndarray) -> np.ndarray:
-    """Sorted ordinals of the pairs sharing a concept, pair (a, b > a) having
-    the lexicographic ordinal t(a, b) = a * n - a * (a + 1) / 2 + (b - a - 1)
-    and `row_start[a]` being t(a, a + 1).
+def _codes(t: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+    """Codes a * n + b of the pairs with ordinals `t`."""
+    a = np.searchsorted(row_start, t, side="right") - 1
+    return a * len(row_start) + (t - row_start[a] + a + 1)
 
-    Rows a (pairs (a, b > a)) are taken in runs of at most _ENUMERATE_LIMIT
-    pairs (one row at least). Each run ORs every concept's flags into a
-    one-byte-per-pair mask, one row slice per member image, so runs come out
-    sorted and disjoint. One run is read off its mask directly; several are
-    counted first, then their masks are built again and read, a chunk at a
-    time, into one array: memory is one mask plus eight bytes per positive.
+
+def sample_pairs(labels: np.ndarray, n_pairs: int, seed: int = 0) -> np.ndarray:
+    """Seeded sample of pairs of rows of an (images x concepts) label matrix
+    (`_label_matrix`), balanced 50/50 where possible: an int array of rows
+    a < b and the label, one pair per row (shape (pairs, 3)).
+
+    A pair is positive iff its rows share a concept. Pair (a, b > a) has the
+    lexicographic ordinal t(a, b) = a * n - a * (a + 1) / 2 + (b - a - 1).
+    Rows are taken in runs of at most _ENUMERATE_LIMIT pairs (one row at
+    least); each run ORs every concept's flags into a one-byte-per-pair
+    mask, one row slice per member image. A first sweep counts each run's
+    positives (one run keeps their list). Each class is then sampled by rank,
+    uniformly without replacement, by `rng.choice`, which draws a sample of
+    at most a twentieth of its class by Floyd's algorithm, in time and
+    memory proportional to the sample; a scarce class contributes all its
+    pairs and the other tops the sample up to `n_pairs`. A second sweep
+    lists the positives of each run holding a drawn rank and maps the ranks
+    to ordinals: positive ranks by indexing, negative ranks by the number
+    of positives before them. The sample is the same at any run length, and
+    memory is one run's mask plus eight bytes per positive in it. Output
+    holds positives, then negatives, each in lexicographic order, and never
+    a duplicate unordered pair. Raises `PairSampleError` if either class has
+    no pairs at all.
     """
+    if n_pairs < 1:
+        raise PairSampleError("n_pairs must be >= 1")
     n = len(labels)
+    if n < 2:
+        raise PairSampleError("need at least 2 judged training images")
+    rng = np.random.default_rng(seed)
+
+    rows = np.arange(n)
+    row_start = rows * (2 * n - rows - 1) // 2  # t(a, a + 1); row_start[n - 1] counts every pair
     cols = np.ascontiguousarray(labels.T)  # one concept's flags, contiguous
     bounds = [0]
     while bounds[-1] < n - 1:
@@ -127,91 +140,27 @@ def _positive_ordinals(labels: np.ndarray, row_start: np.ndarray) -> np.ndarray:
                 mask[row_start[a] - base:row_start[a + 1] - base] |= col[a + 1:]
         return mask
 
-    if len(runs) == 1:  # the run starts at ordinal 0
-        return np.flatnonzero(shared(*runs[0]))
-    out = np.empty(sum(np.count_nonzero(shared(lo, hi)) for lo, hi in runs), dtype=np.intp)
-    k = 0
-    for lo, hi in runs:
-        mask = shared(lo, hi)
-        for s in range(0, len(mask), _FILL_CHUNK):
-            t = np.flatnonzero(mask[s:s + _FILL_CHUNK])
-            t += row_start[lo] + s
-            out[k:k + len(t)] = t
-            k += len(t)
-    return out
-
-
-def _codes(t: np.ndarray, row_start: np.ndarray) -> np.ndarray:
-    """Codes a * n + b of the pairs with ordinals `t`."""
-    a = np.searchsorted(row_start, t, side="right") - 1
-    return a * len(row_start) + (t - row_start[a] + a + 1)
-
-
-def _draw_pairs(
-    rng: np.random.Generator, labels: np.ndarray, want: int, positive: bool
-) -> np.ndarray:
-    """Sorted codes of up to `want` distinct pairs of one class, drawn
-    uniformly by rejection within a budget of 200 draws per wanted pair."""
-    n = len(labels)
-    bits = np.packbits(labels, axis=1)
-    got = np.empty(0, dtype=np.intp)
-    budget = 200 * want
-    while len(got) < want and budget > 0:
-        size = min(budget, 1 << 16)
-        budget -= size
-        a, b = rng.integers(0, n, size=(2, size))
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        keep = (a != b) & ((bits[a] & bits[b]).any(axis=1) == positive)
-        got = _first_occurrences(np.concatenate([got, a[keep] * n + b[keep]]))
-    return np.sort(got[:want])
-
-
-def sample_pairs(labels: np.ndarray, n_pairs: int, seed: int = 0) -> np.ndarray:
-    """Seeded sample of pairs of rows of an (images x concepts) label matrix
-    (`_label_matrix`), balanced 50/50 where possible: an int array of rows
-    a < b and the label, one pair per row (shape (pairs, 3)).
-
-    A pair is positive iff its rows share a concept. When there are at most
-    5M pairs, or the concepts hold at most 5M pairs between them, the
-    positives are listed (`_positive_ordinals`) and sampled uniformly without
-    replacement by `rng.choice`, which draws a sample of at most a twentieth
-    of its class by Floyd's algorithm, in time and memory proportional to
-    the sample; a scarce class contributes all its pairs and the other tops
-    the sample up to `n_pairs`. Negatives are then sampled the same way, by
-    rank among all pairs, up to 5M pairs, and drawn by rejection beyond
-    (`_draw_pairs`). Otherwise both classes are drawn by rejection. Output
-    holds positives, then negatives, each in lexicographic order, and never
-    a duplicate unordered pair. Raises `PairSampleError` if either class has
-    no pairs at all.
-    """
-    if n_pairs < 1:
-        raise PairSampleError("n_pairs must be >= 1")
-    n = len(labels)
-    if n < 2:
-        raise PairSampleError("need at least 2 judged training images")
-    rng = np.random.default_rng(seed)
-
-    total_pairs = n * (n - 1) // 2
-    concept_pairs = sum(m * (m - 1) // 2 for m in labels.sum(axis=0).tolist())
-    neg = None
-    if min(total_pairs, concept_pairs) > _ENUMERATE_LIMIT:  # draw both classes
-        want_neg = n_pairs - n_pairs // 2
-        pos = _draw_pairs(rng, labels, n_pairs // 2, positive=True)
-    else:
-        rows = np.arange(n)
-        row_start = rows * (2 * n - rows - 1) // 2  # t(a, a + 1)
-        t = _positive_ordinals(labels, row_start)
-        want_pos, want_neg = _sample_sizes(len(t), total_pairs - len(t), n_pairs)
-        pos = _codes(t[_choose(rng, len(t), want_pos)], row_start)
-        if total_pairs <= _ENUMERATE_LIMIT:  # negatives by rank, too
-            t -= np.arange(len(t))  # negatives before each positive pair
-            neg = _choose(rng, total_pairs - len(t), want_neg)
-            neg = _codes(neg + np.searchsorted(t, neg, side="right"), row_start)
-    if neg is None:
-        neg = _draw_pairs(rng, labels, want_neg, positive=False)
-        if not len(neg):
-            raise PairSampleError("no negative pairs found within the sampling budget")
-    a, b = np.divmod(np.concatenate([pos, neg]), n)
+    listed = [np.flatnonzero(shared(*runs[0]))] if len(runs) == 1 else []
+    n_pos = [len(t) for t in listed] or [int(np.count_nonzero(shared(lo, hi))) for lo, hi in runs]
+    pos_from = [0, *accumulate(n_pos)]  # each run's first rank, then the class size
+    sizes = np.diff(row_start[bounds]).tolist()  # pairs per run
+    neg_from = [0, *accumulate(size - m for size, m in zip(sizes, n_pos))]
+    want_pos, want_neg = _sample_sizes(pos_from[-1], neg_from[-1], n_pairs)
+    pos = _choose(rng, pos_from[-1], want_pos)
+    neg = _choose(rng, neg_from[-1], want_neg)
+    p_cut = np.searchsorted(pos, pos_from).tolist()
+    q_cut = np.searchsorted(neg, neg_from).tolist()
+    for k, (lo, hi) in enumerate(runs):
+        p, q = pos[p_cut[k]:p_cut[k + 1]], neg[q_cut[k]:q_cut[k + 1]]  # views, mapped in place
+        if len(p) or len(q):
+            t = listed.pop() if listed else np.flatnonzero(shared(lo, hi))
+            p[:] = t[p - pos_from[k]] + row_start[lo]
+            for s in range(0, len(t), _CHUNK):  # negatives before each positive, in place
+                t[s:s + _CHUNK] -= np.arange(s, min(s + _CHUNK, len(t)))
+            q -= neg_from[k]
+            q += np.searchsorted(t, q, side="right") + row_start[lo]
+            del t  # one run's list at a time
+    a, b = np.divmod(np.concatenate([_codes(pos, row_start), _codes(neg, row_start)]), n)
     return np.column_stack([a, b, np.repeat([1, 0], [len(pos), len(neg)])])
 
 

@@ -310,11 +310,12 @@ class TestArrayTablesMatchDictOracles:
         out = minmax_normalize(table({"a": -0.0, "b": 0.5}), unit_bounds())
         assert hexes(scores_of(out)) == {"a": "0x0.0p+0", "b": "0x1.0000000000000p-1"}
 
-    def test_nan_quotient_clamps_to_zero_as_python_does(self):
-        # (g - lower) / span is inf / inf when both overflow
-        st_ = table({"a": 1.5e308, "b": 0.0})
-        bounds = ScoreBounds(-1.5e308, 1.5e308)
-        assert hexes(scores_of(minmax_normalize(st_, bounds))) == hexes(dict_minmax(scores_of(st_), bounds))
+    def test_bounds_whose_span_overflows_are_rejected(self):
+        # (g - lower) / span would be inf / inf, and the clamp maps nan to 0.0
+        for lower, upper in [(-1.5e308, 1.5e308), (0.0, math.inf), (-math.inf, 1.0)]:
+            with pytest.raises(ValueError, match="span more than a float"):
+                ScoreBounds(lower, upper)
+        assert ScoreBounds(-8e307, 8e307).upper == 8e307
 
 
 class TestScoreTable:

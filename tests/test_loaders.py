@@ -43,6 +43,14 @@ def test_valid_files_load(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
+def test_byte_order_mark_is_skipped(tmp_path, name):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(LOADERS[name][0])
+    marked.write_bytes(b"\xef\xbb\xbf" + LOADERS[name][0])
+    assert load(name, marked) == load(name, plain)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
 def test_bad_utf8_names_file_and_line(tmp_path, name):
     lines = LOADERS[name][0].split(b"\n")
     lines[2] = lines[2][:2] + b"\xff" + lines[2][2:]

@@ -1,7 +1,8 @@
-"""`sample_pairs` against the list-based sampler it replaced, its rejection
-branch for universes above the enumeration limit, and its positive-pair
-lister at any run length."""
+"""`sample_pairs` against the list-based sampler it replaced, above the
+enumeration limit, and at any run length: the sample is the same whether
+the pairs are read in one run or in many."""
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -256,7 +257,7 @@ def check_sample(pairs, q):
 
 
 LISTED = {"c0": range(0, 40), "c1": range(30, 90), "c2": range(2000, 2500)}  # 127,255 positive pairs
-DRAWN = {"c0": range(0, 3180), "c1": range(3180, 3200)}  # 5,054,800: too many to list
+DRAWN = {"c0": range(0, 3180), "c1": range(3180, 3200)}  # 5,054,800 positive pairs: two runs
 
 
 def test_scarce_positives_above_limit_stay_balanced():
@@ -286,7 +287,7 @@ def test_no_negatives_above_limit_raises():
 
 
 # ---------------------------------------------------------------------------
-# overlap extremes and memory of the enumerated branch
+# overlap extremes and memory of a single run
 # ---------------------------------------------------------------------------
 
 HEAVY_OVERLAP = (  # the concepts hold 57 pairs between them; only 45 pairs exist
@@ -318,11 +319,20 @@ def test_overlap_extremes_match_reference(world, n_pairs, seed):
     assert len(got) == min(n_pairs, n * (n - 1) // 2)
 
 
+def traced_peak(fn):
+    """fn()'s result and the traced peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def traced_sample_peak():
     """Traced peak bytes per listed pair of one 2000-pair sample from 2000
     images in 20 disjoint concepts (1,999,000 pairs, 99,000 positive)."""
-    import tracemalloc
-
     n = 2000
     ids = [f"i{v:04d}" for v in range(n)]
     c = make_collection([(i, "u", []) for i in ids])
@@ -331,13 +341,7 @@ def traced_sample_peak():
         q.add(f"c{v % 20}", i, 1)
     total = n * (n - 1) // 2
     assert total <= learning._ENUMERATE_LIMIT
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        pairs = labeled_sample(q, c, 2000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    pairs, peak = traced_peak(lambda: labeled_sample(q, c, 2000, seed=0))
     assert [p.label for p in pairs] == [1] * 1000 + [0] * 1000
     return peak / total
 
@@ -363,46 +367,33 @@ UNIFORM_WORLD = (  # 20 positive and 25 negative pairs; 11 pairs take 5 and 6
 
 def test_draw_is_uniform_without_replacement():
     """Over 2000 seeds every pair of a class is drawn about equally often,
-    no sample repeats a pair, and the class sizes are `_sample_sizes`'."""
+    no sample repeats a pair, and the class sizes are `_sample_sizes`', in
+    one run and in runs of at most seven pairs."""
     c, q = build(UNIFORM_WORLD)
     seeds, n_pairs = 2000, 11
     want = dict(zip((1, 0), learning._sample_sizes(20, 25, n_pairs)))
-    counts = {}
-    for seed in range(seeds):
-        pairs = labeled_sample(q, c, n_pairs, seed)
-        assert len(set(pairs)) == len(pairs)
+    for limit in (learning._ENUMERATE_LIMIT, 7):
+        counts = {}
+        with mock.patch.object(learning, "_ENUMERATE_LIMIT", limit):
+            for seed in range(seeds):
+                pairs = labeled_sample(q, c, n_pairs, seed)
+                assert len(set(pairs)) == len(pairs)
+                for label, size in want.items():
+                    assert sum(p.label == label for p in pairs) == size
+                for p in pairs:
+                    counts[p] = counts.get(p, 0) + 1
         for label, size in want.items():
-            assert sum(p.label == label for p in pairs) == size
-        for p in pairs:
-            counts[p] = counts.get(p, 0) + 1
-    for label, size in want.items():
-        seen = [k for p, k in counts.items() if p.label == label]
-        n_class = 20 if label else 25
-        assert len(seen) == n_class
-        share = size / n_class
-        mean, sigma = seeds * share, np.sqrt(seeds * share * (1 - share))
-        assert all(abs(k - mean) <= 5 * sigma for k in seen), (label, sorted(seen))
+            seen = [k for p, k in counts.items() if p.label == label]
+            n_class = 20 if label else 25
+            assert len(seen) == n_class
+            share = size / n_class
+            mean, sigma = seeds * share, np.sqrt(seeds * share * (1 - share))
+            assert all(abs(k - mean) <= 5 * sigma for k in seen), (limit, label, sorted(seen))
 
 
 # ---------------------------------------------------------------------------
-# rejection dedupe and the positive-pair lister, against np.unique
+# every run length, against np.unique
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=200)
-@given(codes=st.lists(st.integers(0, 40), max_size=300), wide=st.booleans())
-def test_dedup_helpers_match_np_unique(codes, wide):
-    codes = np.array(codes, dtype=np.intp) * (10**12 if wide else 1)  # many duplicates
-    ordered = np.sort(codes)
-    assert np.array_equal(ordered[learning._run_starts(ordered)], np.unique(codes))
-    _, first = np.unique(codes, return_index=True)
-    assert np.array_equal(learning._first_occurrences(codes), codes[np.sort(first)])
-
-
-def row_starts(n):
-    """Ordinal t(a, a + 1) of each row's first pair."""
-    rows = np.arange(n)
-    return rows * (2 * n - rows - 1) // 2
 
 
 def triu_codes(labels):
@@ -425,15 +416,18 @@ def group_labels(groups):
     return labels
 
 
-def listed_codes(labels):
-    row_start = row_starts(len(labels))
-    return learning._codes(learning._positive_ordinals(labels, row_start), row_start)
+def positive_codes(labels):
+    """Codes a * n + b of the positives of a sample of 2 * positives + 1
+    pairs, which takes every positive pair."""
+    pairs = sample_pairs(labels, 2 * len(triu_codes(labels)) + 1, seed=0)
+    a, b, _ = pairs[pairs[:, 2] == 1].T
+    return a * len(labels) + b
 
 
 @pytest.mark.parametrize("groups", [LISTED, {"c0": range(0, 60), "c1": range(0, 60)}])
 def test_positive_codes_match_np_unique(groups):
     labels = group_labels(groups)
-    assert np.array_equal(listed_codes(labels), triu_codes(labels))
+    assert np.array_equal(positive_codes(labels), triu_codes(labels))
 
 
 @st.composite
@@ -451,120 +445,135 @@ def label_matrices(draw):
     return labels
 
 
+RUN_LIMITS = (1, 2, 3, 7, 45, 10**9)
+
+
 @settings(max_examples=400)
 @given(labels=label_matrices())
 def test_lister_runs_match_np_unique(labels):
-    """Any run length, down to one pair, lists the same sorted positives."""
+    """Any run length, down to one pair, puts the same sorted positives in
+    a sample that takes them all."""
     want = triu_codes(labels)
-    for limit in (1, 2, 3, 7, 45, 10**9):
+    n = len(labels)
+    for limit in RUN_LIMITS:
         with mock.patch.object(learning, "_ENUMERATE_LIMIT", limit):
-            assert np.array_equal(listed_codes(labels), want), limit
+            if 0 < len(want) < n * (n - 1) // 2:
+                assert np.array_equal(positive_codes(labels), want), limit
+            else:
+                with pytest.raises(learning.PairSampleError, match="no (positive|negative) pairs"):
+                    positive_codes(labels)
+
+
+def sample_or_error(labels, n_pairs, seed):
+    try:
+        return sample_pairs(labels, n_pairs, seed)
+    except learning.PairSampleError as e:
+        return str(e)
+
+
+@settings(max_examples=300)
+@given(labels=label_matrices(), n_pairs=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_sample_is_the_same_at_any_run_length(labels, n_pairs, seed):
+    """Runs of any length, down to one pair, give the same sample (or the
+    same error), with the class sizes `_sample_sizes` asks for."""
+    samples = []
+    for limit in RUN_LIMITS:
+        with mock.patch.object(learning, "_ENUMERATE_LIMIT", limit):
+            samples.append(sample_or_error(labels, n_pairs, seed))
+    want = samples[-1]
+    if isinstance(want, str):
+        assert samples == [want] * len(samples)
+        return
+    assert all(np.array_equal(got, want) for got in samples), [type(got) for got in samples]
+    n, n_pos = len(labels), len(triu_codes(labels))
+    sizes = learning._sample_sizes(n_pos, n * (n - 1) // 2 - n_pos, n_pairs)
+    assert (np.count_nonzero(want[:, 2] == 1), np.count_nonzero(want[:, 2] == 0)) == sizes
 
 
 # ---------------------------------------------------------------------------
-# every branch bit-identical to the samples recorded before the lister was
-# shared (sha256 of repr(labeled_sample(...)), seeds 0-2)
+# pinned samples (sha256 of repr(labeled_sample(...)), seeds 0-2); the four
+# 3200-image worlds hold 5,118,400 pairs, more than one run
 # ---------------------------------------------------------------------------
 
 BIG_CONCEPT = {"c0": range(0, 3100), "c1": range(3100, 3200)}  # 4,808,400 positive pairs
 PINNED = {  # name: (groups, images, n_pairs, sha256 at seeds 0-2)
-    # 4,498,500 pairs in all, 8,407,100 in the concepts: listed, negatives by rank
+    # 4,498,500 pairs in all, 8,407,100 in the concepts: one run
     "overlap-below-limit": ({"c0": range(0, 2900), "c1": range(100, 3000)}, 3000, 600, (
         "b8e9698fb8a98543cbcfb63727ed251e64d858f9d861cdbef0f57029cd730bbc",
         "824f3fd0498f1a1361ddc4aca78356a6536ffd77cf49b04b85a241837ae5e472",
         "c2934666e73480c8700bae3c68c10cef8335aadd6bfd43bbaaa1ac19360c6dee",
     )),
     "listed": (LISTED, N_LARGE, 600, (
-        "587de5f79a491af5881bd07c649ce462cb196316c32c98075dbe3d9b2c83e839",
-        "2351b3a55a3ce026cc0577ec82231ddac1bdd18f59ad9596504d18f5299e712d",
-        "2081e0e17abfd8c28f237aca67f95688c952438f3af19d0716257ac8594cce75",
+        "6e58b8904f6695344407ccabc0dfe2bb9342a37c53b127ab1aa6158eb43c0f52",
+        "fd206a19ad88c274117bbb9fbb2e336a2a9619b41a254642f81fb3bbc8baf080",
+        "aaa053036d3ff73eb4015ac34e67ca65eb8729748f6c409a3b1ebe36e12bb11b",
     )),
     "drawn": (DRAWN, N_LARGE, 600, (
-        "9c5e05bbc71fe3884aa159e6c14bba4d0b8dc27ae38eb0dc3e55bd6d2888153f",
-        "03e7e5f6bec9018ce8888e5fb0949ae2ce2747aa0afd64c9a559781af609721f",
-        "dc22b0129d3bfadd439fdb83c62bb41e1a41847a60862a4dd0349ac0f260322e",
+        "5b9019412003797d62cb295990c365fea5d3c77b4055ef6f8524044b1f458243",
+        "cd56cd24272c0968142611d43091cb954f63e00b830224acf4137dbf5275113a",
+        "6191fc3d19eb5aaff922cce04f7b9d147481db5ccb282ea7c452667edabcc319",
     )),
     "scarce": ({"c0": range(40)}, N_LARGE, 1000, (
-        "7ade8aa1d68cc6233645591c154164111e35944c2c5e619d5a4d48f464d0b53e",
-        "096d975ed4faef3bfd0c4dda002641d85d1bccb4766f3838b6f9059f18b0a0d8",
-        "948f3c628e20548623f05868b3d7766ff10b8f2919400dc0d8d1cbd8ae6e0b06",
+        "1c2f671d5de81234c730cd63f1f0649e4685297425a2e231c85ca567733af269",
+        "84730683644f42aea64085894a735306d5463da2343e8470c15135511e8f98ed",
+        "a57b4c34a602170d062632bfdfc7a8fd8a7fab94880342ab3d6e260129cf241e",
     )),
     "big-concept": (BIG_CONCEPT, N_LARGE, 600, (
-        "e1f5bc63615de7fee37700978dcb9086b8911fd9c27aeb6565f3908fe8801640",
-        "90bdcbe9f156cfa1a0a1e01b83cbcb71985e3c943877c1df635ce96a0c30698e",
-        "a7a9aed0c8c0ef1d26485e921cf5a8f1ab769a938f286a28a74ab2350aba758f",
+        "3bd171bf7f0cf1a5222cd5cd1ad490d4b9db48678a685f3aa281b279dabe67ba",
+        "9fa274284a7bd8a20ef576b7d13e3d57c58b30f9fb6fd9f81403bacb71b56e17",
+        "b8ce7e46a1613384290f03d6b519a4ebe732593a9c400fe1417181a575231fa0",
     )),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_samples_match_pinned_hashes(name):
+    """Each pinned sample is also the sample of one run over every pair."""
     groups, n, n_pairs, hashes = PINNED[name]
     c, q = large_world(groups, n)
     for seed, want in enumerate(hashes):
-        got = hashlib.sha256(repr(labeled_sample(q, c, n_pairs, seed=seed)).encode()).hexdigest()
-        assert got == want, (name, seed)
+        pairs = labeled_sample(q, c, n_pairs, seed=seed)
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == want, (name, seed)
+        with mock.patch.object(learning, "_ENUMERATE_LIMIT", 10**9):
+            assert labeled_sample(q, c, n_pairs, seed=seed) == pairs, (name, seed)
 
 
 def test_lister_runs_bound_the_mask(monkeypatch):
     """The mask spans one run of at most _ENUMERATE_LIMIT pairs, not every
-    pair: listing 127,255 positives of 5,118,400 pairs in runs of 10,000
-    pairs keeps the traced peak within 1 MiB of the ordinals (eight bytes
-    each; the bound allows eight more), where one mask over every pair
+    pair: sampling 600 of 5,118,400 pairs in runs of 10,000 pairs keeps the
+    traced peak within 1 MiB of the sample, where one mask over every pair
     would add 5,118,400 bytes."""
-    import tracemalloc
-
     labels = group_labels(LISTED)
-    row_start = row_starts(N_LARGE)
     monkeypatch.setattr(learning, "_ENUMERATE_LIMIT", 10_000)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        t = learning._positive_ordinals(labels, row_start)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert len(t) == 127_255
-    assert peak <= 16 * len(t) + (1 << 20)
+    pairs, peak = traced_peak(lambda: sample_pairs(labels, 600, seed=0))
+    assert len(triu_codes(labels)) == 127_255
+    assert len(pairs) == 600
+    assert peak <= pairs.nbytes + (1 << 20)
 
 
 def test_lister_memory_per_positive_pair():
     """Above 5M pairs the positives are listed in runs of at most 5M pairs:
     the traced peak stays near eight bytes per positive for the listed
     ordinals, plus one mask; the bound allows twelve bytes more."""
-    import tracemalloc
-
     c, q = large_world(BIG_CONCEPT)
     n_pos = 3100 * 3099 // 2 + 100 * 99 // 2
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        pairs = labeled_sample(q, c, 600, seed=0)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    pairs, peak = traced_peak(lambda: labeled_sample(q, c, 600, seed=0))
     assert [p.label for p in pairs] == [1] * 300 + [0] * 300
     assert peak / n_pos <= 20
 
 
 def test_lister_fills_one_array():
-    """Runs are counted first and read into one preallocated array, so the
-    traced peak of listing the 3100+100 world's 4,808,400 positives in two
-    runs is eight bytes per positive plus one run's mask (at most
-    _ENUMERATE_LIMIT bytes) and a chunk's ordinals, with no copy of the
-    ordinals to join the runs."""
-    import tracemalloc
-
+    """One run's positives are listed at a time, and the negatives before
+    each are counted into that list in place, so the traced peak of a
+    sample from the 3100+100 world's 4,808,400 positives in two runs is at
+    most eight bytes per positive plus one run's mask (at most
+    _ENUMERATE_LIMIT bytes) and a chunk of counts, with no copy of the
+    ordinals to join the runs or to count the negatives."""
     labels = group_labels(BIG_CONCEPT)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        t = learning._positive_ordinals(labels, row_starts(N_LARGE))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert len(t) == 3100 * 3099 // 2 + 100 * 99 // 2
-    assert peak <= 8 * len(t) + learning._ENUMERATE_LIMIT + (2 << 20)
+    pairs, peak = traced_peak(lambda: sample_pairs(labels, 600, seed=0))
+    n_pos = 3100 * 3099 // 2 + 100 * 99 // 2
+    assert len(pairs) == 600
+    assert peak <= 8 * n_pos + learning._ENUMERATE_LIMIT + (2 << 20)
 
 
 @settings(max_examples=200)
