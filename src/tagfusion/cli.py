@@ -80,7 +80,12 @@ def read_config_file(path: str | Path) -> dict[str, tuple[int, str]]:
         if "=" not in line:
             raise CliError(f"{path}:{no}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = (no, value.strip())
+        key = key.strip().replace("-", "_")
+        if key in out:
+            raise CliError(
+                f"{path}:{no}: duplicate config key {key!r} (first on line {out[key][0]})"
+            )
+        out[key] = (no, value.strip())
     return out
 
 

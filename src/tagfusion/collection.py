@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -181,6 +181,9 @@ def _read_lines(path: Path) -> list[tuple[int, str]]:
         raise ValueError(f"{path}:{no}: not valid UTF-8") from None
 
 
+_BLOCK_ROWS = 256  # feature rows converted to float64 per numpy assignment
+
+
 def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) -> Collection:
     """Load and validate a collection from a tags file plus feature files.
 
@@ -189,8 +192,11 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
     non-finite value, duplicate tag), naming the tags file when it holds no
     image row, and naming the file and feature when
     the feature's widest L1 distance, sum_j (max_j - min_j), is not finite.
+    When a file has several faults, the one on the earliest line is reported.
+    Feature components are Python float literals (`float()`'s grammar).
     """
     tags_path = Path(tags_path)
+    fold = lru_cache(maxsize=None)(normalize_tag)  # each distinct raw token once
     records: list[ImageRecord] = []
     seen: set[str] = set()
     for no, line in _read_lines(tags_path):
@@ -202,9 +208,8 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
                 f"{tags_path}:{no}: expected 3 tab-separated fields, got {len(parts)}"
             )
         image_id, user_id, tag_field = parts
-        raw_tags = [t for t in tag_field.split(" ") if t]
-        tags = tuple(normalize_tag(t) for t in raw_tags)
-        if any(not t for t in tags):
+        tags = tuple(map(fold, filter(None, tag_field.split(" "))))
+        if "" in tags:
             raise CollectionError(
                 f"{tags_path}:{no}: tag folds to empty token on image {image_id!r}"
             )
@@ -241,49 +246,65 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
             raise CollectionError(f"{fpath}:{header_no}: dim must be positive")
         if name in features:
             raise CollectionError(f"{fpath}: duplicate feature name {name!r}")
-        rows: dict[str, int] = {}  # image id -> its row in `parsed`
-        parsed = array("d")
+        rows: dict[str, int] = {}  # image id -> its row in the stacked blocks
+        blocks: list[np.ndarray] = []
+        pending: list[tuple[int, str, list[str]]] = []  # checked rows not yet in a block
+
+        def convert() -> None:
+            """Parse the pending rows into one more block, raising on the first bad one."""
+            if not pending:
+                return
+            out = np.empty((len(pending), dim))  # each row has dim components: bounded by the text
+            try:  # assigning str uses float(), the same grammar as row by row
+                out[:] = [comps for _, _, comps in pending]
+            except ValueError:  # row by row, to find the first unparseable line
+                for row, (no, image_id, comps) in zip(out, pending):
+                    try:
+                        row[:] = [float(v) for v in comps]
+                    except ValueError:
+                        raise CollectionError(
+                            f"{fpath}:{no}: unparseable component for image {image_id!r}"
+                        ) from None
+                    if not np.isfinite(row).all():
+                        break  # reported below, before any later row is parsed
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+            if bad.size:
+                no, image_id, _ = pending[bad[0]]
+                raise CollectionError(
+                    f"{fpath}:{no}: non-finite component for image {image_id!r}"
+                )
+            blocks.append(out)
+            pending.clear()
+
         for no, line in lines[1:]:
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
+            image_id, comps = parts[0], parts[-1].split(",")
             if len(parts) != 2:
-                raise CollectionError(
-                    f"{fpath}:{no}: expected 'image_id<TAB>v1,...,v{dim}'"
-                )
-            image_id, values = parts
-            if image_id in rows:
-                raise CollectionError(f"{fpath}:{no}: duplicate row for image {image_id!r}")
-            if image_id not in seen:
-                raise CollectionError(
-                    f"{fpath}:{no}: image {image_id!r} not present in tags file"
-                )
-            comps = values.split(",")
-            if len(comps) != dim:
-                raise CollectionError(
-                    f"{fpath}:{no}: image {image_id!r} has {len(comps)} components, "
-                    f"expected {dim}"
-                )
-            try:
-                vec = [float(v) for v in comps]
-            except ValueError:
-                raise CollectionError(
-                    f"{fpath}:{no}: unparseable component for image {image_id!r}"
-                ) from None
-            if not all(map(math.isfinite, vec)):
-                raise CollectionError(
-                    f"{fpath}:{no}: non-finite component for image {image_id!r}"
-                )
-            rows[image_id] = len(rows)
-            parsed.extend(vec)
+                problem = f"expected 'image_id<TAB>v1,...,v{dim}'"
+            elif image_id in rows:
+                problem = f"duplicate row for image {image_id!r}"
+            elif image_id not in seen:
+                problem = f"image {image_id!r} not present in tags file"
+            elif len(comps) != dim:
+                problem = f"image {image_id!r} has {len(comps)} components, expected {dim}"
+            else:
+                rows[image_id] = len(rows)
+                pending.append((no, image_id, comps))
+                if len(pending) == _BLOCK_ROWS:
+                    convert()
+                continue
+            convert()  # a bad value on an earlier line is reported first
+            raise CollectionError(f"{fpath}:{no}: {problem}")
+        convert()
         missing = [i for i in ids if i not in rows]
         if missing:
             raise CollectionError(
                 f"{fpath}: feature {name!r} missing image {missing[0]!r}"
                 + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
             )
-        order = [rows[i] for i in ids]
-        matrix = np.frombuffer(parsed).reshape(-1, dim)[order]
+        matrix = np.concatenate(blocks)[[rows[i] for i in ids]]
         with np.errstate(over="ignore", invalid="ignore"):
             widest = float((matrix.max(axis=0) - matrix.min(axis=0)).sum())
         if not math.isfinite(widest):
@@ -296,20 +317,46 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
     return Collection(records, features)
 
 
+_FIELD_BREAK = re.compile("[\t\r\n]")
+
+
 def save_collection(
     c: Collection, tags_path: str | Path, feature_paths: Mapping[str, str | Path]
 ) -> None:
-    """Write `c` in the canonical on-disk formats (floats via repr, lossless)."""
-    tags_path = Path(tags_path)
+    """Write `c` in the canonical on-disk formats (floats via repr, lossless).
+
+    Raises CollectionError naming the image, before writing any file, when
+    `load_collection` would read a record back differently or not at all:
+    an id that starts with '#' (a comment line), an id, user or tag holding
+    a tab, CR or LF, or a tag that is empty, holds a space or is not already
+    folded (lowercase ASCII, as `normalize_tag` leaves it).
+    """
+    tags = {t for rec in c.images for t in rec.tags}
+    unsaveable = {t for t in tags if not t or " " in t or normalize_tag(t) != t}
+    lines = []
+    for rec in c.images:
+        tag_field = " ".join(rec.tags)
+        if rec.image_id.startswith("#") or _FIELD_BREAK.search(
+            f"{rec.image_id}{rec.user_id}{tag_field}"
+        ):
+            raise CollectionError(
+                f"cannot save image {rec.image_id!r}: its id starts with '#', or its id, "
+                "user or tags hold a tab, CR or LF"
+            )
+        if not unsaveable.isdisjoint(rec.tags):
+            raise CollectionError(
+                f"cannot save image {rec.image_id!r}: a tag is empty, holds a space "
+                "or is not folded to lowercase ASCII"
+            )
+        lines.append(f"{rec.image_id}\t{rec.user_id}\t{tag_field}\n")
     with open(tags_path, "w", encoding="utf-8") as fh:
-        for rec in c.images:
-            fh.write(f"{rec.image_id}\t{rec.user_id}\t{' '.join(rec.tags)}\n")
+        fh.writelines(lines)
     for name, path in feature_paths.items():
         fm = c.feature(name)
         with open(Path(path), "w", encoding="utf-8") as fh:
             fh.write(f"#feature\t{fm.name}\t{fm.dim}\n")
-            for rec, row in zip(c.images, fm.matrix):
-                fh.write(rec.image_id + "\t" + ",".join(repr(float(v)) for v in row) + "\n")
+            for rec, row in zip(c.images, fm.matrix):  # a whole-matrix tolist() costs memory
+                fh.write(f"{rec.image_id}\t{','.join(map(repr, row.tolist()))}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +411,8 @@ class SyntheticConfig:
             raise ValueError("q_correct must exceed q_incorrect")
         if not (np.isfinite(self.cluster_spread) and self.cluster_spread > 0):
             raise ValueError("cluster_spread must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def generate_collection(cfg: SyntheticConfig) -> tuple[Collection, dict[str, frozenset[str]]]:
@@ -396,28 +445,26 @@ def generate_collection(cfg: SyntheticConfig) -> tuple[Collection, dict[str, fro
         )
         features[spec.name] = FeatureMatrix(name=spec.name, dim=spec.dim, matrix=matrix)
 
-    keep_true = rng.random(n) < cfg.q_correct
-    noise_draws = rng.random((n, cfg.n_tags)) < cfg.q_incorrect
+    keep_true = (rng.random(n) < cfg.q_correct).tolist()
+    wrong = rng.random((n, cfg.n_tags)) < cfg.q_incorrect
+    wrong[np.arange(n), true_tag_idx] = False
+    # row-major: image by image, each image's wrong tags in tag order
+    wrong_tags = [tags[j] for j in np.nonzero(wrong)[1].tolist()]
+    ends = np.cumsum(wrong.sum(axis=1)).tolist()
 
     records: list[ImageRecord] = []
-    for i in range(n):
-        true_t = tags[true_tag_idx[i]]
-        observed: list[str] = []
-        if keep_true[i]:
-            observed.append(true_t)
-        for j, t in enumerate(tags):
-            if t != true_t and noise_draws[i, j]:
-                observed.append(t)
-        records.append(
-            ImageRecord(
-                image_id=image_ids[i],
-                user_id=f"user{user_idx[i]:04d}",
-                tags=tuple(observed),
-            )
-        )
+    start = 0
+    for image_id, keep, k, u, end in zip(
+        image_ids, keep_true, true_tag_idx.tolist(), user_idx.tolist(), ends
+    ):
+        observed = ([tags[k]] if keep else []) + wrong_tags[start:end]
+        records.append(ImageRecord(image_id, f"user{u:04d}", tuple(observed)))
+        start = end
 
+    by_tag = np.argsort(true_tag_idx, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(true_tag_idx, minlength=cfg.n_tags)).tolist()
     ground_truth = {
-        t: frozenset(image_ids[i] for i in range(n) if true_tag_idx[i] == k)
-        for k, t in enumerate(tags)
+        t: frozenset(image_ids[i] for i in by_tag[lo:hi])
+        for t, lo, hi in zip(tags, [0] + bounds, bounds)
     }
     return Collection(records, features), ground_truth

@@ -5,12 +5,23 @@ blocked code paths are checked against them bit for bit.
 """
 from __future__ import annotations
 
+import math
+from array import array
 from fractions import Fraction
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from tagfusion.collection import Collection, images_with_tag
+from tagfusion.collection import (
+    Collection,
+    CollectionError,
+    FeatureMatrix,
+    ImageRecord,
+    _read_lines,
+    images_with_tag,
+    normalize_tag,
+)
 from tagfusion.estimators import ScoreTable, TagSimilarityModel, _kde_sigma, vote_tables
 from tagfusion.evalkit import rank_metric
 from tagfusion.fusion import ScoreBounds, _rank_unit, late_fuse
@@ -184,3 +195,121 @@ def ascent_objective(evals, raw: np.ndarray, metric: str, cutoff: int) -> float 
 def mean_metric_rows(evals, raw: np.ndarray, metric: str, cutoff: int) -> list[float | None]:
     """`learning._mean_metric` computed one weight row at a time."""
     return [ascent_objective(evals, row, metric, cutoff) for row in raw]
+
+
+def load_collection_by_line(
+    tags_path: str | Path, feature_paths: Iterable[str | Path]
+) -> Collection:
+    """`collection.load_collection` parsing one feature line at a time with
+    `float()`: the reference for the block-converting loader.
+
+    Raises CollectionError naming the file, line, and offending image id for
+    every format violation (missing row, dim mismatch, duplicate id,
+    non-finite value, duplicate tag), naming the tags file when it holds no
+    image row, and naming the file and feature when
+    the feature's widest L1 distance, sum_j (max_j - min_j), is not finite.
+    """
+    tags_path = Path(tags_path)
+    records: list[ImageRecord] = []
+    seen: set[str] = set()
+    for no, line in _read_lines(tags_path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CollectionError(
+                f"{tags_path}:{no}: expected 3 tab-separated fields, got {len(parts)}"
+            )
+        image_id, user_id, tag_field = parts
+        raw_tags = [t for t in tag_field.split(" ") if t]
+        tags = tuple(normalize_tag(t) for t in raw_tags)
+        if any(not t for t in tags):
+            raise CollectionError(
+                f"{tags_path}:{no}: tag folds to empty token on image {image_id!r}"
+            )
+        if image_id in seen:
+            raise CollectionError(f"{tags_path}:{no}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+        try:
+            records.append(ImageRecord(image_id=image_id, user_id=user_id, tags=tags))
+        except CollectionError as exc:
+            raise CollectionError(f"{tags_path}:{no}: {exc}") from None
+
+    if not records:
+        raise CollectionError(f"{tags_path}: no image rows")
+    ids = [r.image_id for r in records]
+
+    features: dict[str, FeatureMatrix] = {}
+    for fpath in feature_paths:
+        fpath = Path(fpath)
+        lines = _read_lines(fpath)
+        if not lines:
+            raise CollectionError(f"{fpath}: empty feature file")
+        header_no, header = lines[0]
+        hparts = header.split("\t")
+        if len(hparts) != 3 or hparts[0] != "#feature":
+            raise CollectionError(
+                f"{fpath}:{header_no}: expected '#feature<TAB>name<TAB>dim' header"
+            )
+        name = hparts[1]
+        try:
+            dim = int(hparts[2])
+        except ValueError:
+            raise CollectionError(f"{fpath}:{header_no}: bad dim {hparts[2]!r}") from None
+        if dim <= 0:
+            raise CollectionError(f"{fpath}:{header_no}: dim must be positive")
+        if name in features:
+            raise CollectionError(f"{fpath}: duplicate feature name {name!r}")
+        rows: dict[str, int] = {}  # image id -> its row in `parsed`
+        parsed = array("d")
+        for no, line in lines[1:]:
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise CollectionError(
+                    f"{fpath}:{no}: expected 'image_id<TAB>v1,...,v{dim}'"
+                )
+            image_id, values = parts
+            if image_id in rows:
+                raise CollectionError(f"{fpath}:{no}: duplicate row for image {image_id!r}")
+            if image_id not in seen:
+                raise CollectionError(
+                    f"{fpath}:{no}: image {image_id!r} not present in tags file"
+                )
+            comps = values.split(",")
+            if len(comps) != dim:
+                raise CollectionError(
+                    f"{fpath}:{no}: image {image_id!r} has {len(comps)} components, "
+                    f"expected {dim}"
+                )
+            try:
+                vec = [float(v) for v in comps]
+            except ValueError:
+                raise CollectionError(
+                    f"{fpath}:{no}: unparseable component for image {image_id!r}"
+                ) from None
+            if not all(map(math.isfinite, vec)):
+                raise CollectionError(
+                    f"{fpath}:{no}: non-finite component for image {image_id!r}"
+                )
+            rows[image_id] = len(rows)
+            parsed.extend(vec)
+        missing = [i for i in ids if i not in rows]
+        if missing:
+            raise CollectionError(
+                f"{fpath}: feature {name!r} missing image {missing[0]!r}"
+                + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
+            )
+        order = [rows[i] for i in ids]
+        matrix = np.frombuffer(parsed).reshape(-1, dim)[order]
+        with np.errstate(over="ignore", invalid="ignore"):
+            widest = float((matrix.max(axis=0) - matrix.min(axis=0)).sum())
+        if not math.isfinite(widest):
+            raise CollectionError(
+                f"{fpath}: feature {name!r} has L1 distances that overflow: "
+                "the widest, sum_j (max_j - min_j), exceeds the float range"
+            )
+        features[name] = FeatureMatrix(name=name, dim=dim, matrix=matrix)
+
+    return Collection(records, features)

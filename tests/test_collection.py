@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,8 @@ class TestGenerator:
             generate_collection(default_cfg(q_correct=0.5, q_incorrect=0.5))
         with pytest.raises(ValueError):
             generate_collection(default_cfg(cluster_spread=0.0))
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            generate_collection(default_cfg(seed=-5))
 
     def test_informative_flag_controls_clustering(self):
         cfg = default_cfg(n_images=400, cluster_spread=0.01, seed=5)
@@ -284,6 +287,32 @@ class TestRoundTrip:
         assert (tmp_path / "tags.tsv").read_bytes() == (tmp_path / "tags2.tsv").read_bytes()
         assert (tmp_path / "fa.tsv").read_bytes() == (tmp_path / "fa2.tsv").read_bytes()
         assert (tmp_path / "fb.tsv").read_bytes() == (tmp_path / "fb2.tsv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "image_id, user_id, tags, why",
+        [
+            ("x\t1", "u", ("sky",), "tab, CR or LF"),
+            ("x\n1", "u", ("sky",), "tab, CR or LF"),
+            ("x1", "u\tv", ("sky",), "tab, CR or LF"),
+            ("x1", "u\r", ("sky",), "tab, CR or LF"),
+            ("x1", "u", ("sky", "se\na"), "tab, CR or LF"),
+            ("#x1", "u", ("sky",), "starts with '#'"),
+            ("x1", "u", ("sky blue",), "a tag is empty, holds a space or is not folded"),
+            ("x1", "u", ("sky", ""), "a tag is empty, holds a space or is not folded"),
+            ("x1", "u", ("Sky",), "a tag is empty, holds a space or is not folded"),
+            ("x1", "u", ("caf\u00e9",), "a tag is empty, holds a space or is not folded"),
+        ],
+    )
+    def test_values_that_would_not_load_back_are_refused(
+        self, tmp_path, image_id, user_id, tags, why
+    ):
+        c = make_collection(
+            [("x0", "u", ["sea"]), (image_id, user_id, list(tags))], {"f": [[0.0], [1.0]]}
+        )
+        message = f"^cannot save image {re.escape(repr(image_id))}: .*{why}"
+        with pytest.raises(CollectionError, match=message):
+            save_collection(c, tmp_path / "tags.tsv", {"f": tmp_path / "f.tsv"})
+        assert not (tmp_path / "tags.tsv").exists() and not (tmp_path / "f.tsv").exists()
 
 
 def test_image_record_invariants():

@@ -1,5 +1,8 @@
 """Every line-format loader on malformed bytes: it loads, or it raises a
-ValueError whose message starts with the file's path."""
+ValueError whose message starts with the file's path. The collection loader
+also returns what the line-by-line reference in `oracles.py` returns, or
+raises the same error."""
+import itertools
 import re
 
 import pytest
@@ -10,6 +13,8 @@ from tagfusion.cli import main, read_config_file
 from tagfusion.collection import CollectionError, load_collection
 from tagfusion.evalkit import read_qrels, read_run
 from tagfusion.fusion import read_concept_weights, read_weights
+
+from oracles import load_collection_by_line
 
 TAGS = b"x1\tu1\tsky sea\n# a comment\nx2\tu2\tsky\nx3\tu1\t\n"
 FEATURE = b"#feature\tvisa\t2\nx1\t0.1,0.2\nx2\t0.3,-4e-3\nx3\t5,6\n"
@@ -95,7 +100,10 @@ def test_empty_tags_file_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-BYTES = st.sampled_from([b"\t", b"\n", b"\r", b"#", b"\xff", b" ", b",", b"=", b"0", b"-", b"e"])
+BYTES = st.sampled_from([
+    b"\t", b"\n", b"\r", b"#", b"\xff", b" ", b",", b"=", b"0", b"-", b"e", b"_", b".",
+    "\u0663".encode(), "\u00e9".encode(),  # an Arabic-Indic digit and a folded letter
+])
 MUTATIONS = st.tuples(
     st.sampled_from(["insert", "delete", "replace", "truncate"]),
     st.integers(0, 1 << 16),
@@ -104,7 +112,7 @@ MUTATIONS = st.tuples(
 
 
 def mutate(data, op, pos, byte):
-    pos %= len(data) + (op in ("insert", "truncate"))
+    pos %= max(1, len(data) + (op in ("insert", "truncate")))  # an earlier edit may empty it
     if op == "insert":
         return data[:pos] + byte + data[pos:]
     if op == "replace":
@@ -112,15 +120,128 @@ def mutate(data, op, pos, byte):
     return data[:pos] + data[pos + 1:] if op == "delete" else data[:pos]
 
 
+def mutate_all(data, mutations):
+    for mutation in mutations:
+        data = mutate(data, *mutation)
+    return data
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
 @settings(max_examples=100)
-@given(mutation=MUTATIONS)
-def test_mutated_file_loads_or_names_its_path(tmp_path_factory, name, mutation):
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_mutated_file_loads_or_names_its_path(tmp_path_factory, name, mutations):
     path = tmp_path_factory.getbasetemp() / f"fuzz-{name}"
     path.mkdir(exist_ok=True)
     path = path / "file"
-    path.write_bytes(mutate(LOADERS[name][0], *mutation))
+    path.write_bytes(mutate_all(LOADERS[name][0], mutations))
     try:
         load(name, path)
     except ValueError as exc:
         assert str(exc).startswith(f"{path}:"), exc
+
+
+# --- the block-converting collection loader against the line-by-line one ------
+
+def _long_feature(name, rows):
+    return f"#feature\t{name}\t2\n".encode() + b"".join(
+        b"x%d\t%s\n" % (i, row) for i, row in enumerate(rows)
+    )
+
+
+LONG = 300  # rows: more than one conversion block
+# worlds of (tags files, feature files); a case takes one tags file and two
+# different feature files of one world, valid or with one or several faults
+DIFF_WORLDS = [
+    (
+        [
+            b"x1\tu1\tsky sea\n# a comment\nx2\tu2\tsky\nx3\tu1\t\nx4\tu3\tsea\n",
+            "x1\tu1\tSky Caf\u00e9\nx2\tu2\t sky  sea \n\nx3\tu1\t\nx4\tu3\tsea\n".encode(),
+            b"x1\tu1\tsky\nx2\tu2\tsky sky\nx2\tu2\tsea\nx3\tu1\n",  # three faults
+        ],
+        [
+            b"#feature\tvisa\t2\nx1\t0.1,0.2\nx2\t0.3,-4e-3\nx3\t5,6\nx4\t1_0,7\n",
+            "#feature\tvisb\t3\nx1\t1_0,\u0663.5,-0.0\n# note\nx2\t 1e-3 ,+2,.5\n"
+            "x3\t1e308,0.1000000000000000055511151231257827,5.\nx4\t\u0661\u0662,1E2,-7\n".encode(),
+            b"#feature\tvisf\t2\nx1\t1e-310,2\nx2\t-5e-324,3\nx3\t+.5e+1,1_000.000_1\nx4\t0,0\n",
+            "#feature\tvisg\t1\n\nx4\t\u0966.\u0967\nx3\t2\n#\nx2\t3\nx1\t-4\n".encode(),
+            b"#feature\tvisc\t2\nx1\t1,inf\nx2\t1e309,-1\nx3\tnan,0\nx4\t1,,2\n",
+            "#feature\tvisd\t1\nx1\t1_0\nx2\t-Infinity\nx3\t\u0663\u0661\nx4\tNaN\n".encode(),
+            b"#feature\tvise\t2\nx1\t1,2\nx2\t\t1\nx3\t1,2,3\n\nx1\t3,4\nx4\t0x1,2\n",
+            b"#feature\tvish\t1000000000000\nx1\t1,2\n",  # a dim no row can have
+            b"#feature\tvisi\t1\nx1\t1e308\nx2\t-1e308\nx3\t0\nx4\t0\n",  # L1 overflows
+        ],
+    ),
+    (
+        [b"".join(b"x%d\tu%d\ttag%d\n" % (i, i % 7, i % 5) for i in range(LONG))],
+        [
+            _long_feature("la", [b"%d.5,1_%d" % (i, i) for i in range(LONG)]),
+            _long_feature("lb", [b"-%de-3, %d " % (i, i) for i in range(LONG)]),
+            _long_feature("le", [b"%de-%d,-0.%d" % (i, i % 300, i) for i in range(LONG)]),
+            _long_feature("lc", [b"1,nan" if i == 280 else b"%d,0" % i for i in range(LONG)]),
+            _long_feature("ld", [b"1" if i == 290 else b"%d,1e3%d" % (i, i % 10) for i in range(LONG)]),
+        ],
+    ),
+]
+
+
+@st.composite
+def diff_case(draw):
+    tags_files, feature_files = draw(st.sampled_from(DIFF_WORLDS))
+    features = draw(st.lists(st.sampled_from(feature_files), min_size=2, max_size=2, unique=True))
+    return [draw(st.sampled_from(tags_files)), *features]
+
+
+def load_or_error(loader, tags, features):
+    try:
+        c = loader(tags, features)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return c.images, [(n, f.dim, f.matrix.tobytes()) for n, f in c.features.items()]
+
+
+@settings(max_examples=300)
+@given(
+    files=diff_case(),
+    edits=st.lists(st.tuples(st.integers(0, 2), MUTATIONS), min_size=1, max_size=3),
+)
+def test_loader_matches_line_by_line_reference(tmp_path_factory, files, edits):
+    folder = tmp_path_factory.getbasetemp() / "differential"
+    folder.mkdir(exist_ok=True)
+    paths = [folder / "tags.tsv", folder / "fa.tsv", folder / "fb.tsv"]
+    for i, (path, data) in enumerate(zip(paths, files)):
+        path.write_bytes(mutate_all(data, [m for f, m in edits if f == i]))
+    assert load_or_error(load_collection, paths[0], paths[1:]) == load_or_error(
+        load_collection_by_line, paths[0], paths[1:]
+    )
+
+
+def test_unedited_corpus_matches_line_by_line_reference(tmp_path):
+    paths = [tmp_path / "tags.tsv", tmp_path / "fa.tsv", tmp_path / "fb.tsv"]
+    for tags_files, feature_files in DIFF_WORLDS:
+        for files in itertools.product(tags_files, feature_files, feature_files):
+            for path, data in zip(paths, files):
+                path.write_bytes(data)
+            assert load_or_error(load_collection, paths[0], paths[1:]) == load_or_error(
+                load_collection_by_line, paths[0], paths[1:]
+            ), files
+
+
+@pytest.mark.parametrize("bad_row", [0, 1, 254, 255, 256, 257, 511, 512, 599])
+@pytest.mark.parametrize("fault", ["unparseable", "non-finite", "structural"])
+def test_fault_at_block_edges_matches_line_by_line_reference(tmp_path, bad_row, fault):
+    n = 600
+    tags = tmp_path / "tags.tsv"
+    tags.write_text("".join(f"x{i}\tu\tsky\n" for i in range(n)))
+    rows = [f"x{i}\t{i}.25,-{i}e-3" for i in range(n)]
+    rows[bad_row] = {
+        "unparseable": f"x{bad_row}\t1,2x",
+        "non-finite": f"x{bad_row}\t1,-inf",
+        "structural": f"x{bad_row}\t1,2,3",
+    }[fault]
+    rows[(bad_row + 300) % n] = f"x{(bad_row + 300) % n}\t1e309,0"  # a second fault
+    feats = tmp_path / "visa.tsv"
+    feats.write_text("#feature\tvisa\t2\n" + "\n".join(rows) + "\n")
+    got = load_or_error(load_collection, tags, [feats])
+    assert got == load_or_error(load_collection_by_line, tags, [feats])
+    assert got[0] is CollectionError
+    assert got[1].startswith(f"{feats}:{min(bad_row, (bad_row + 300) % n) + 2}: ")

@@ -181,6 +181,40 @@ def fabricate_perfect_vs_inverted(tmp_path):
     return c
 
 
+# sha256 over each `synth` output file's name, a newline and its bytes, in
+# name order, recorded before the generator drew tags without per-cell loops
+SYNTH_PINNED = {
+    "split": (
+        "--images 200 --tags 6 --features visa:3,visb:3 --seed 29",
+        "aba53748d92791d7eaf5e30a2f3dad713d3a483d34520cb07b1996c4bcd29b32",
+    ),
+    "all": (
+        "--images 150 --tags 5 --informativeness all --features va:2,vb:4 --seed 3",
+        "d90da4414eb81d0e6b8c996b5a9efdb59cd4116cb659f4c70232c1dcbb361bb4",
+    ),
+    "q-incorrect-0": (
+        "--images 120 --tags 4 --q-incorrect 0 --seed 5",
+        "952c17232e281536e5313691409ba80114ea1153852d717f104be9d1c7967307",
+    ),
+    "q-incorrect-0.9": (
+        "--images 100 --tags 8 --q-correct 0.95 --q-incorrect 0.9 --seed 7",
+        "7a732fe58ce95fd8065d5c89b94284f54663f316e1536ecd80a5e4949e385fed",
+    ),
+    "one-tag": (
+        "--images 50 --tags 1 --users 3 --features f:2 --seed 11",
+        "434f4811c8f8f64e67a6c074e83cc023d4438251e82b61a665558d6ecee0abe6",
+    ),
+    "tags-exceed-images": (
+        "--images 10 --tags 40 --features f:3 --seed 13",
+        "3f8856a01e3061fc32614f7e93f267aa62abcc294452d087f7d661f97cb92ce1",
+    ),
+    "three-dims": (
+        "--images 90 --tags 7 --features a:1,b:4,c:9 --seed 17",
+        "11c05f08f3cb35f2c3c72fb0e2b47515a2d72a2c85027f3ed6df5d4cb7b4e217",
+    ),
+}
+
+
 class TestCliSynth:
     def test_determinism_byte_identical(self, tmp_path):
         args = [
@@ -215,6 +249,23 @@ class TestCliSynth:
         assert main(["synth", "--out", str(out), "--cluster-spread", value]) == 2
         assert "error: cluster_spread must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        out = tmp_path / "world"
+        assert main(["synth", "--out", str(out), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(SYNTH_PINNED))
+    def test_output_matches_pinned_hash(self, tmp_path, capsys, name):
+        import hashlib
+
+        args, want = SYNTH_PINNED[name]
+        assert main(["synth", "--out", str(tmp_path), *args.split()]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+        assert digest.hexdigest() == want
 
 
 class TestCliScoreLearnEval:
@@ -540,6 +591,17 @@ class TestCliMisc:
         cfg = tmp_path / "conf.txt"
         cfg.write_text("bogus = 1\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
+
+    @pytest.mark.parametrize("second", ["images = 20", "q-correct = 0.8"])
+    def test_duplicate_config_key_rejected(self, tmp_path, capsys, second):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"# comment\nimages = 10\nq_correct = 0.9\n{second}\n")
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        key, first = ("images", 2) if second.startswith("images") else ("q_correct", 3)
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:4: duplicate config key {key!r} (first on line {first})\n"
+        assert not out.exists()
 
     def test_missing_required_flags(self, capsys):
         assert main(["score"]) != 0
