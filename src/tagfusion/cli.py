@@ -37,12 +37,14 @@ from .learning import (
     learn_distance_weights_per_concept,
     learn_per_concept,
 )
-from .neighbors import calibrate_normalizers
 from .presets import (
+    NORMS,
+    SCHEMES,
     ScoreSettings,
     available_presets,
     build_training_tables,
     derive_seed,
+    early_normalizers,
     score_preset,
 )
 
@@ -64,6 +66,15 @@ def _bool(value: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise CliError(f"not a boolean: {value!r}")
+
+
+def _choice(*values: str) -> Callable[[str], str]:
+    def choice(value: str) -> str:  # argparse reports "invalid choice value: ..."
+        if value not in values:
+            raise ValueError(f"must be one of {', '.join(values)}; got {value!r}")
+        return value
+
+    return choice
 
 
 # key -> (converter, default); shared across flag parsing and config files
@@ -132,7 +143,7 @@ SYNTH_OPTIONS: dict[str, Opt] = {
     "tags": (int, 20),
     "users": (int, 50),
     "features": (str, "visa:8,visb:8"),
-    "informativeness": (str, "split"),
+    "informativeness": (_choice("split", "all"), "split"),
     "q_correct": (float, 0.9),
     "q_incorrect": (float, 0.05),
     "cluster_spread": (float, 0.05),
@@ -146,8 +157,9 @@ def _parse_synth_features(
     parts = _csv(spec)
     if not parts:
         raise CliError("no features given")
-    parsed: list[tuple[str, int]] = []
-    for p in parts:
+    size = (len(tag_names) + len(parts) - 1) // len(parts)  # tags per feature when split
+    features: list[SyntheticFeature] = []
+    for i, p in enumerate(parts):
         if ":" not in p:
             raise CliError(f"feature spec {p!r} must be name:dim")
         name, dim_s = p.split(":", 1)
@@ -155,17 +167,9 @@ def _parse_synth_features(
             dim = int(dim_s)
         except ValueError:
             raise CliError(f"bad dim in feature spec {p!r}") from None
-        parsed.append((name, dim))
-    m = len(parsed)
-    features: list[SyntheticFeature] = []
-    for i, (name, dim) in enumerate(parsed):
-        if informativeness == "all":
-            informative = None
-        elif informativeness == "split":
-            size = (len(tag_names) + m - 1) // m
+        informative = None
+        if informativeness == "split":
             informative = frozenset(tag_names[i * size : (i + 1) * size])
-        else:
-            raise CliError(f"informativeness must be 'split' or 'all', got {informativeness!r}")
         features.append(SyntheticFeature(name=name, dim=dim, informative_tags=informative))
     return tuple(features)
 
@@ -205,22 +209,27 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-SCORE_OPTIONS: dict[str, Opt] = {
+# the collection and estimator settings that score and learn share
+COLLECTION_OPTIONS: dict[str, Opt] = {
     "tags": (str, None),
     "features": (_csv, None),
-    "preset": (str, None),
     "out": (str, None),
-    "run_id": (str, None),
     "k": (int, 500),
-    "query_tags": (_csv, None),
     "estimators": (_csv, None),
     "kde_feature": (str, None),
     "kde_sample_cap": (int, 500),
     "min_count": (int, 1),
     "calib_sample_size": (int, 10000),
+    "seed": (int, 0),
+}
+
+SCORE_OPTIONS: dict[str, Opt] = {
+    **COLLECTION_OPTIONS,
+    "preset": (str, None),
+    "run_id": (str, None),
+    "query_tags": (_csv, None),
     "weights": (str, None),
     "concept_weights": (str, None),
-    "seed": (int, 0),
 }
 
 
@@ -231,9 +240,9 @@ def _load_collection_opts(opts: dict[str, object]):
 
 
 def _settings_from(opts: dict[str, object], feature_names: tuple[str, ...]) -> ScoreSettings:
-    weights = read_weights(str(opts["weights"])) if opts["weights"] else None
+    weights = read_weights(str(opts["weights"])) if opts.get("weights") else None
     concept_weights = None
-    if opts["concept_weights"]:
+    if opts.get("concept_weights"):
         concept_weights, _ = read_concept_weights(str(opts["concept_weights"]))
     return ScoreSettings(
         features=feature_names,
@@ -246,7 +255,7 @@ def _settings_from(opts: dict[str, object], feature_names: tuple[str, ...]) -> S
         seed=int(opts["seed"]),
         weights=weights,
         concept_weights=concept_weights,
-        query_tags=tuple(opts["query_tags"]) if opts["query_tags"] else None,
+        query_tags=tuple(opts["query_tags"]) if opts.get("query_tags") else None,
     )
 
 
@@ -257,13 +266,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not opts["out"]:
         raise CliError("score requires --out")
     collection = _load_collection_opts(opts)
-    feature_names = tuple(collection.features)
-    settings = _settings_from(opts, feature_names)
-    preset = str(opts["preset"])
-    known = available_presets(feature_names)
-    if preset not in known:
-        raise CliError(f"unknown preset {preset!r}; choose one of {known}")
-    run = score_preset(collection, preset, settings, run_id=opts["run_id"] or None)
+    settings = _settings_from(opts, tuple(collection.features))
+    run = score_preset(collection, str(opts["preset"]), settings, run_id=opts["run_id"] or None)
     out = Path(str(opts["out"]))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_run(out, run)
@@ -276,31 +280,27 @@ def cmd_score(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 LEARN_OPTIONS: dict[str, Opt] = {
-    "tags": (str, None),
-    "features": (_csv, None),
+    **COLLECTION_OPTIONS,
     "qrels": (str, None),
-    "out": (str, None),
-    "scheme": (str, "late"),
-    "norm": (str, "minmax"),
-    "estimators": (_csv, None),
+    "scheme": (_choice(*SCHEMES), "late"),
+    "norm": (_choice(*NORMS), "minmax"),
     "metric": (str, "ap"),
     "cutoff": (int, 100),
     "per_concept": (_bool, False),
     "min_pos": (int, 1),
     "pairs": (int, 1000),
-    "k": (int, 500),
-    "kde_feature": (str, None),
-    "kde_sample_cap": (int, 500),
-    "min_count": (int, 1),
-    "calib_sample_size": (int, 10000),
     "delta0": (float, 0.05),
     "growth": (float, 2.0),
     "line_steps": (int, 10),
     "tol": (float, 1e-6),
     "max_sweeps": (int, 50),
     "restarts": (int, 3),
-    "seed": (int, 0),
 }
+
+
+def _log_lines(header: str, moves) -> list[str]:
+    """`header`, then one learn.log line per (step, coordinate, weight, objective) move."""
+    return [header] + [f"{s}\t{c}\t{w!r}\t{o!r}" for s, c, w, o in moves]
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
@@ -309,17 +309,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
         raise CliError("learn requires --qrels (training judgments)")
     if not opts["out"]:
         raise CliError("learn requires --out")
-    if opts["scheme"] not in ("late", "early"):
-        raise CliError("--scheme must be late or early")
-    if opts["norm"] not in ("minmax", "rankmax"):
-        raise CliError("--norm must be minmax or rankmax")
     collection = _load_collection_opts(opts)
     qrels = read_qrels(str(opts["qrels"]))
     feature_names = tuple(collection.features)
-    settings = _settings_from(
-        {**opts, "weights": None, "concept_weights": None, "query_tags": None},
-        feature_names,
-    )
+    settings = _settings_from(opts, feature_names)
     out = Path(str(opts["out"]))
     log_lines: list[str] = []
     pc = None  # per-concept result, when asked for
@@ -340,9 +333,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         if not tables:
             raise CliError("no training concept labels any image in the collection")
         result = coordinate_ascent(tables, qrels, cfg)
-        log_lines.append("# global")
-        for sweep, coord, weight, objective in result.trace:
-            log_lines.append(f"{sweep}\t{coord}\t{weight!r}\t{objective!r}")
+        log_lines += _log_lines("# global", result.trace)
         if opts["per_concept"]:
             pc = learn_per_concept(
                 tables, qrels, cfg,
@@ -350,27 +341,20 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 global_weights=result.weights,
             )
             for tag in sorted(pc.traces):
-                log_lines.append(f"# concept {tag}")
-                for sweep, coord, weight, objective in pc.traces[tag]:
-                    log_lines.append(f"{sweep}\t{coord}\t{weight!r}\t{objective!r}")
+                log_lines += _log_lines(f"# concept {tag}", pc.traces[tag])
     else:
-        normalizers = calibrate_normalizers(
-            collection,
-            feature_names,
-            mode="minmax",
-            sample_size=int(opts["calib_sample_size"]),
-            seed=derive_seed(int(opts["seed"]), "calibration"),
-        )
+        normalizers = early_normalizers(collection, settings, "minmax")
         gcfg = GradientConfig()
         rows, labels = _label_matrix(qrels, collection)
         result = _fit_pairs(
             collection, rows, labels, feature_names, normalizers,
             int(opts["pairs"]), derive_seed(int(opts["seed"]), "pairs"), gcfg,
         )
-        log_lines.append("# global")
-        for it, wvec in enumerate(result.weight_trace, start=1):
-            for name, w in zip(feature_names, wvec):
-                log_lines.append(f"{it}\t{name}\t{w!r}\t{result.trace[it]!r}")
+        log_lines += _log_lines("# global", (
+            (it, name, w, result.trace[it])
+            for it, wvec in enumerate(result.weight_trace, start=1)
+            for name, w in zip(feature_names, wvec)
+        ))
         if opts["per_concept"]:
             pc = learn_distance_weights_per_concept(
                 collection, qrels.tags(), rows, labels, feature_names, normalizers,
@@ -440,44 +424,49 @@ def cmd_list_presets(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, function, config-backed options or None, further add_argument calls)
+COMMANDS: dict[str, tuple[str, Callable, dict[str, Opt] | None, tuple]] = {
+    "synth": ("generate a seeded synthetic collection + qrels", cmd_synth, SYNTH_OPTIONS, ()),
+    "score": ("run a scoring preset, write a run file", cmd_score, SCORE_OPTIONS, ()),
+    "learn": ("learn fusion weights from training qrels", cmd_learn, LEARN_OPTIONS, ()),
+    "eval": (
+        "evaluate run files against qrels", cmd_eval, EVAL_OPTIONS,
+        (("runs", {"nargs": "*", "help": "run files to evaluate"}),),
+    ),
+    "list-presets": (
+        "list every supported preset name", cmd_list_presets, None,
+        (("--features", {"type": _csv, "default": None, "metavar": "color,cslbp,..."}),),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The tagfusion parser; only `command`'s arguments are added (all when None)."""
     parser = argparse.ArgumentParser(
         prog="tagfusion",
         description="tag relevance estimation, fusion, and retrieval evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a seeded synthetic collection + qrels")
-    _add_options(p_synth, SYNTH_OPTIONS)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_score = sub.add_parser("score", help="run a scoring preset, write a run file")
-    _add_options(p_score, SCORE_OPTIONS)
-    p_score.set_defaults(func=cmd_score)
-
-    p_learn = sub.add_parser("learn", help="learn fusion weights from training qrels")
-    _add_options(p_learn, LEARN_OPTIONS)
-    p_learn.set_defaults(func=cmd_learn)
-
-    p_eval = sub.add_parser("eval", help="evaluate run files against qrels")
-    _add_options(p_eval, EVAL_OPTIONS)
-    p_eval.add_argument("runs", nargs="*", help="run files to evaluate")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_list = sub.add_parser("list-presets", help="list every supported preset name")
-    p_list.add_argument("--features", type=_csv, default=None, metavar="color,cslbp,...")
-    p_list.set_defaults(func=cmd_list_presets)
-
+    for name, (help_text, func, options, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if command in (None, name):
+            if options is not None:
+                _add_options(p, options)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return int(args.func(args))
     except (CliError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -329,8 +329,12 @@ def save_collection(
     `load_collection` would read a record back differently or not at all:
     an id that starts with '#' (a comment line), an id, user or tag holding
     a tab, CR or LF, or a tag that is empty, holds a space or is not already
-    folded (lowercase ASCII, as `normalize_tag` leaves it).
+    folded (lowercase ASCII, as `normalize_tag` leaves it). A feature name
+    holding a tab, CR or LF is refused the same way, naming the feature.
     """
+    for name in feature_paths:
+        if _FIELD_BREAK.search(name):
+            raise CollectionError(f"cannot save feature {name!r}: its name holds a tab, CR or LF")
     tags = {t for rec in c.images for t in rec.tags}
     unsaveable = {t for t in tags if not t or " " in t or normalize_tag(t) != t}
     lines = []

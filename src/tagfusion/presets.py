@@ -33,7 +33,7 @@ from .fusion import (
     unit_bounds,
 )
 from .evalkit import RunFile, run_from_tables
-from .neighbors import WeightVector, calibrate_normalizers
+from .neighbors import DistanceNormalizer, WeightVector, calibrate_normalizers
 
 SCHEMES = ("early", "late")
 NORMS = ("minmax", "rankmax")
@@ -46,18 +46,9 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def fusion_preset_names() -> list[str]:
-    return [
-        f"{scheme}-{norm}-{weighting}"
-        for scheme in SCHEMES
-        for norm in NORMS
-        for weighting in WEIGHTINGS
-    ]
-
-
 def available_presets(features: Sequence[str]) -> list[str]:
     """Exactly the supported preset names for a feature configuration."""
-    names = fusion_preset_names()
+    names = [f"{s}-{n}-{w}" for s in SCHEMES for n in NORMS for w in WEIGHTINGS]
     names += [f"tagrel-{f}" for f in features]
     names += ["tagposition", "semanticfield", "tagranking"]
     return names
@@ -87,6 +78,8 @@ class ScoreSettings:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.estimators:
             self.estimators = tuple(f"tagrel:{f}" for f in self.features)
+        for spec in self.estimators:
+            _parse_estimator(spec)
         if self.kde_feature is None:
             self.kde_feature = self.features[0]
 
@@ -106,10 +99,14 @@ class EstimatorContext:
 
     Holds the similarity model and, per voting feature, the tables of every
     tag in `tags`, computed in one neighbor pass the first time any of them
-    is asked for.
+    is asked for. Every estimator spec must name a feature of `c`.
     """
 
     def __init__(self, c: Collection, settings: ScoreSettings, tags: Sequence[str]) -> None:
+        for spec in settings.estimators:
+            feature = _parse_estimator(spec)[1]
+            if feature is not None and feature not in c.features:
+                raise ValueError(f"estimator spec {spec!r} names unknown feature {feature!r}")
         self.c = c
         self.settings = settings
         self.tags = tuple(tags)
@@ -232,13 +229,31 @@ def build_training_tables(
     return {tag: ctx.normalized_tables(tag, norm) for tag in labeled}
 
 
+def early_normalizers(
+    c: Collection, settings: ScoreSettings, mode: str
+) -> dict[str, DistanceNormalizer]:
+    """Early fusion's per-feature distance normalizers, calibrated on a seeded sample."""
+    return calibrate_normalizers(
+        c,
+        settings.features,
+        mode=mode,
+        sample_size=settings.calib_sample_size,
+        seed=derive_seed(settings.seed, "calibration"),
+    )
+
+
 def score_preset(
     c: Collection,
     preset: str,
     settings: ScoreSettings,
     run_id: str | None = None,
 ) -> RunFile:
-    """Run the named preset over the requested tags, returning ranked runs."""
+    """Run the named preset over the requested tags, returning ranked runs.
+
+    An unknown preset name is refused before any work."""
+    known = available_presets(tuple(c.features))
+    if preset not in known:
+        raise ValueError(f"unknown preset {preset!r}; choose one of {known}")
     run_id = run_id if run_id is not None else preset
     tags = _query_tags(c, settings)
     ctx = EstimatorContext(c, settings, tags)
@@ -252,19 +267,9 @@ def score_preset(
     if preset in single:
         return run_from_tables(run_id, [ctx.base_table(single[preset], t) for t in tags])
 
-    parts = preset.split("-")
-    if len(parts) != 3 or parts[0] not in SCHEMES or parts[1] not in NORMS or parts[2] not in WEIGHTINGS:
-        raise ValueError(f"unknown preset {preset!r}")
-    scheme, norm, weighting = parts
-
+    scheme, norm, weighting = preset.split("-")
     if scheme == "early":
-        normalizers = calibrate_normalizers(
-            c,
-            settings.features,
-            mode=norm,
-            sample_size=settings.calib_sample_size,
-            seed=derive_seed(settings.seed, "calibration"),
-        )
+        normalizers = early_normalizers(c, settings, norm)
         groups: dict[WeightVector, list[str]] = {}  # one neighbor pass per weight vector
         for t in tags:
             wv = _weights_for(settings, weighting, settings.features, tag=t)

@@ -314,6 +314,15 @@ class TestRoundTrip:
             save_collection(c, tmp_path / "tags.tsv", {"f": tmp_path / "f.tsv"})
         assert not (tmp_path / "tags.tsv").exists() and not (tmp_path / "f.tsv").exists()
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\rb", "a\nb", "\tab"])
+    def test_feature_name_that_would_not_load_back_is_refused(self, tmp_path, name):
+        c = make_collection([("x0", "u", ["sea"])], {"ok": [[0.0]], name: [[1.0]]})
+        paths = {"ok": tmp_path / "ok.tsv", name: tmp_path / "bad.tsv"}
+        message = f"^cannot save feature {re.escape(repr(name))}: its name holds a tab, CR or LF$"
+        with pytest.raises(CollectionError, match=message):
+            save_collection(c, tmp_path / "tags.tsv", paths)
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_image_record_invariants():
     with pytest.raises(CollectionError):

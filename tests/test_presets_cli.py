@@ -632,6 +632,161 @@ class TestCliMisc:
         assert message.format(cfg=cfg, tags=tags) in capsys.readouterr().err
 
 
+# the option strings each subcommand's --help lists; none may be added or dropped
+COMMAND_FLAGS = {
+    "synth": (
+        "--cluster-spread --config --features --help --images --informativeness --out "
+        "--q-correct --q-incorrect --seed --tags --users -h"
+    ),
+    "score": (
+        "--calib-sample-size --concept-weights --config --estimators --features --help --k "
+        "--kde-feature --kde-sample-cap --min-count --out --preset --query-tags --run-id "
+        "--seed --tags --weights -h"
+    ),
+    "learn": (
+        "--calib-sample-size --config --cutoff --delta0 --estimators --features --growth "
+        "--help --k --kde-feature --kde-sample-cap --line-steps --max-sweeps --metric "
+        "--min-count --min-pos --norm --out --pairs --per-concept --qrels --restarts "
+        "--scheme --seed --tags --tol -h"
+    ),
+    "eval": "--config --cutoff --help --n-perm --out --qrels --seed -h",
+    "list-presets": "--features --help -h",
+}
+
+
+class TestCliOptionTables:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_accepts_exactly_its_flags(self, capsys, command):
+        import re
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        flags = sorted(set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", text)))
+        assert flags == COMMAND_FLAGS[command].split()
+        assert ("[runs ...]" in text) == (command == "eval")
+
+    def test_top_level_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{synth,score,learn,eval,list-presets}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, key, value, allowed",
+        [
+            ("learn", "scheme", "sideways", "early, late"),
+            ("learn", "norm", "zscore", "minmax, rankmax"),
+            ("synth", "informativeness", "some", "split, all"),
+        ],
+    )
+    def test_bad_choice_in_config_names_file_and_line(
+        self, tmp_path, capsys, command, key, value, allowed
+    ):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"# comment\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: {key}: must be one of {allowed}; got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag", [("learn", "--scheme"), ("learn", "--norm"), ("synth", "--informativeness")]
+    )
+    def test_bad_choice_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "bogus", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice value: 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsaveable_feature_name_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("images = 20\ntags = 2\nfeatures = a\tb:2\n")
+        out = tmp_path / "world"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot save feature 'a\\tb': its name holds a tab, CR or LF\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestChecksBeforeNeighborPasses:
+    """Bad presets and estimator specs are refused before any vote pass."""
+
+    @pytest.fixture
+    def vote_calls(self, monkeypatch):
+        import tagfusion.presets as presets
+
+        calls = []
+        real = presets.vote_tables
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(presets, "vote_tables", spy)
+        return calls
+
+    @pytest.fixture
+    def world(self, tmp_path):
+        out = tmp_path / "data"
+        assert main([
+            "synth", "--out", str(out), "--images", "60", "--tags", "3",
+            "--features", "visa:2,visb:2", "--seed", "5",
+        ]) == 0
+        return ["--tags", str(out / "tags.tsv"), "--features", f"{out / 'visa.tsv'},{out / 'visb.tsv'}"]
+
+    @pytest.mark.parametrize(
+        "preset, flags, message",
+        [
+            (
+                "late-minmax-average", ["--estimators", "tagrel:visa,bogus"],
+                "unknown estimator spec 'bogus'",
+            ),
+            (
+                "late-rankmax-average", ["--estimators", "tagrel:visa,tagrel:nofeat"],
+                "estimator spec 'tagrel:nofeat' names unknown feature 'nofeat'",
+            ),
+            (
+                "late-minmax-average", ["--estimators", "tagrel:visa,tagranking:nofeat"],
+                "estimator spec 'tagranking:nofeat' names unknown feature 'nofeat'",
+            ),
+            (
+                "early-minmax-magic", [],
+                "unknown preset 'early-minmax-magic'; choose one of "
+                + str(available_presets(("visa", "visb"))),
+            ),
+            ("tagranking", ["--kde-feature", "nofeat"], "unknown feature 'nofeat'"),
+        ],
+        ids=["bogus-spec", "tagrel-unknown-feature", "kde-unknown-feature", "unknown-preset",
+             "kde-feature-key-error"],
+    )
+    def test_cli_exits_2_before_any_vote_pass(
+        self, tmp_path, capsys, vote_calls, world, preset, flags, message
+    ):
+        run_path = tmp_path / "r.run"
+        code = main(["score", *world, "--preset", preset, "--k", "5", "--out", str(run_path), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert vote_calls == []
+        assert not run_path.exists()
+
+    def test_score_preset_rejects_unknown_preset_before_any_vote_pass(self, vote_calls):
+        c, _ = small_world(seed=4)
+        settings = ScoreSettings(features=("visa", "visb"), k=5)
+        for preset in ("late-minmax-magic", "tagrel-nofeat", "early-minmax"):
+            with pytest.raises(ValueError, match=f"^unknown preset '{preset}'; choose one of"):
+                score_preset(c, preset, settings)
+        assert vote_calls == []
+
+    def test_settings_reject_unknown_spec(self):
+        with pytest.raises(ValueError, match="unknown estimator spec 'bogus'"):
+            ScoreSettings(features=("visa",), estimators=("tagrel:visa", "bogus"))
+
+
 class TestCliKdeOnSmallTags:
     """tagranking on tags that label one or two images."""
 
