@@ -77,6 +77,20 @@ def _choice(*values: str) -> Callable[[str], str]:
     return choice
 
 
+def _at_least_one(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"must be >= 1, got {number}")
+    return number
+
+
+_metric = _choice("ap", "ndcg")
+
+# A flag of these keys parses as its plain type; the setting that uses it
+# refuses a value out of range (exit 2, naming the setting). In a config
+# file the converter refuses it, naming the file and line.
+_FLAG_TYPES: dict[Callable, Callable] = {_at_least_one: int, _metric: str}
+
 # key -> (converter, default); shared across flag parsing and config files
 Opt = tuple[Callable[[str], object], object]
 
@@ -130,7 +144,9 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, Opt]) -> No
         if convert is _bool:
             parser.add_argument(flag, action="store_const", const=True, default=None)
         else:
-            parser.add_argument(flag, type=convert, default=None, metavar=str(default))
+            parser.add_argument(
+                flag, type=_FLAG_TYPES.get(convert, convert), default=None, metavar=str(default)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +210,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     collection, truth = generate_collection(cfg)
     out = Path(str(opts["out"]))
-    out.mkdir(parents=True, exist_ok=True)
     save_collection(
         collection,
         out / "tags.tsv",
@@ -214,12 +229,12 @@ COLLECTION_OPTIONS: dict[str, Opt] = {
     "tags": (str, None),
     "features": (_csv, None),
     "out": (str, None),
-    "k": (int, 500),
+    "k": (_at_least_one, 500),
     "estimators": (_csv, None),
     "kde_feature": (str, None),
-    "kde_sample_cap": (int, 500),
+    "kde_sample_cap": (_at_least_one, 500),
     "min_count": (int, 1),
-    "calib_sample_size": (int, 10000),
+    "calib_sample_size": (_at_least_one, 10000),
     "seed": (int, 0),
 }
 
@@ -284,17 +299,17 @@ LEARN_OPTIONS: dict[str, Opt] = {
     "qrels": (str, None),
     "scheme": (_choice(*SCHEMES), "late"),
     "norm": (_choice(*NORMS), "minmax"),
-    "metric": (str, "ap"),
-    "cutoff": (int, 100),
+    "metric": (_metric, "ap"),
+    "cutoff": (_at_least_one, 100),
     "per_concept": (_bool, False),
     "min_pos": (int, 1),
     "pairs": (int, 1000),
     "delta0": (float, 0.05),
     "growth": (float, 2.0),
-    "line_steps": (int, 10),
+    "line_steps": (_at_least_one, 10),
     "tol": (float, 1e-6),
-    "max_sweeps": (int, 50),
-    "restarts": (int, 3),
+    "max_sweeps": (_at_least_one, 50),
+    "restarts": (_at_least_one, 3),
 }
 
 
@@ -305,6 +320,11 @@ def _log_lines(header: str, moves) -> list[str]:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     opts = _resolve(args, LEARN_OPTIONS)
+    if opts["scheme"] == "early" and opts["norm"] != "minmax":
+        raise CliError(
+            "learn --scheme early fits its weights on MinMax distances, for every "
+            "early preset; --norm rankmax applies to --scheme late only"
+        )
     if not opts["qrels"]:
         raise CliError("learn requires --qrels (training judgments)")
     if not opts["out"]:
@@ -383,7 +403,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 EVAL_OPTIONS: dict[str, Opt] = {
     "qrels": (str, None),
     "out": (str, None),
-    "cutoff": (int, 100),
+    "cutoff": (_at_least_one, 100),
     "n_perm": (int, 100000),
     "seed": (int, 0),
 }

@@ -323,10 +323,12 @@ _FIELD_BREAK = re.compile("[\t\r\n]")
 def save_collection(
     c: Collection, tags_path: str | Path, feature_paths: Mapping[str, str | Path]
 ) -> None:
-    """Write `c` in the canonical on-disk formats (floats via repr, lossless).
+    """Write `c` in the canonical on-disk formats (floats via repr, lossless),
+    creating the directories the paths need.
 
-    Raises CollectionError naming the image, before writing any file, when
-    `load_collection` would read a record back differently or not at all:
+    Raises CollectionError naming the image, before creating or writing
+    anything, when `load_collection` would read a record back differently
+    or not at all:
     an id that starts with '#' (a comment line), an id, user or tag holding
     a tab, CR or LF, or a tag that is empty, holds a space or is not already
     folded (lowercase ASCII, as `normalize_tag` leaves it). A feature name
@@ -353,6 +355,8 @@ def save_collection(
                 "or is not folded to lowercase ASCII"
             )
         lines.append(f"{rec.image_id}\t{rec.user_id}\t{tag_field}\n")
+    for path in (tags_path, *feature_paths.values()):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(tags_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     for name, path in feature_paths.items():

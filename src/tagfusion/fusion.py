@@ -3,11 +3,13 @@
 MinMax rescales scores against the estimator's possible range; RankMax
 replaces scores by 1 - rank/n over the n candidates, so only the ordering
 survives. Late fusion is the convex combination of aligned score tables.
-Fused sums are
-accumulated in exact rational arithmetic and rounded once, so candidates
+Each fused score is the exact rational sum rounded once, so candidates
 whose rank points tie under Borda counting also tie in the fused float
 scores; `borda_rank` provides the independent integer-arithmetic oracle for
-that equivalence.
+that equivalence. The sums run in floats as double-doubles, with Dekker's
+product and Knuth's TwoSum (Ogita, Rump & Oishi, "Accurate sum and dot
+product", SIAM J. Sci. Comput. 2005), and carry an error bound; a candidate
+whose rounding that bound cannot certify is summed in rationals.
 """
 from __future__ import annotations
 
@@ -102,13 +104,90 @@ def _check_aligned(tables: Sequence[ScoreTable]) -> tuple[str, ...]:
     return ids
 
 
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's factor: halves of at most 26 bits
+_TINY, _HUGE = 2.0**-500, 2.0**500  # scores whose splits and products stay exact
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo, each half of at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: s = fl(a + b) and the exact error, a + b = s + e."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _at_least(x: Fraction) -> float:
+    """A float >= x >= 0, and >= 2^-500 unless x is 0 (so products with
+    scores >= 2^-500 cannot underflow)."""
+    f = float(x)
+    if Fraction(f) < x:
+        f = math.nextafter(f, math.inf)
+    return max(f, _TINY) if x else 0.0
+
+
+def _fuse_certified(lams: Sequence[Fraction], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's sum_i lams[i] * g[i] as a float, and where that float is
+    certified to be the exact sum correctly rounded.
+
+    Each lambda is hi + lo + slack, hi and lo floats. hi * g is split into
+    an exact sum of two floats (Dekker's product), and the products are
+    folded exactly (TwoSum) into s plus a compensation c, as in Ogita, Rump
+    and Oishi's Dot2. What the fold leaves out, the errors of summing c,
+    the rounding of lo * g and slack * |g|, is bounded from above. A column
+    is certified when s + c, within that bound, cannot round to another
+    float; with a bound of 0, s + c is the exact sum and one IEEE addition
+    rounds it, exact midpoints to even. Scores beyond 2^500 or nonzero
+    below 2^-500, and lambdas below 2^-400, are not certified: the split
+    and the products could lose bits there.
+    """
+    hi = np.array([float(lam) for lam in lams])
+    rest = [lam - Fraction(h) for lam, h in zip(lams, hi.tolist())]
+    lo = np.array([float(r) for r in rest])
+    slack = np.array([_at_least(abs(r - Fraction(x))) for r, x in zip(rest, lo.tolist())])
+    mag = np.abs(g)
+    ok = ((mag >= _TINY) & (mag <= _HUGE) | (g == 0.0)).all(axis=0)
+    if ((hi > 0.0) & (hi < 2.0**-400)).any():
+        ok[:] = False
+    g = np.where(ok, g, 0.0)  # the others go to exact rationals; spare them overflow
+    g_hi, g_lo = _split(g)
+    h_hi, h_lo = _split(hi[:, None])
+    p = hi[:, None] * g
+    e = ((h_hi * g_hi - p) + h_hi * g_lo + h_lo * g_hi) + h_lo * g_lo  # hi * g = p + e
+    bound = (slack[:, None] * mag).sum(axis=0)
+    s = np.zeros(g.shape[1])
+    c = np.zeros(g.shape[1])
+    for i in range(len(lams)):
+        s, r = _two_sum(s, p[i])
+        terms = [r, e[i]]
+        if lo[i]:
+            q = lo[i] * g[i]
+            terms.append(q)
+            bound += 2.0**-52 * np.abs(q) + 2.0**-1074 * (g[i] != 0.0)  # rounding of lo * g
+        for x in terms:
+            c, d = _two_sum(c, x)
+            bound += np.abs(d)
+    bound *= 1.0 + 2.0**-30  # covers the rounding of the bound's own sums
+    fused, t = _two_sum(s, c)  # exact sum within bound of fused + t
+    gap = np.minimum(np.nextafter(fused, np.inf) - fused, fused - np.nextafter(fused, -np.inf))
+    ok &= (bound == 0.0) | ((np.abs(t) + bound) * (1.0 + 2.0**-50) < 0.5 * gap)
+    return fused + 0.0, ok  # an exact zero is +0.0, as a rational's float
+
+
 def late_fuse(
     tables: Sequence[ScoreTable], wv: WeightVector, name: str | None = None
 ) -> ScoreTable:
     """Per image, G = sum_i lambda_i * g_i over aligned tables.
 
     Each fused score is the correctly rounded value of the exact rational
-    sum, which keeps mathematically equal combinations bitwise equal.
+    sum, which keeps mathematically equal combinations bitwise equal. A
+    candidate whose rounding `_fuse_certified` cannot certify is summed in
+    rationals.
     """
     ids = _check_aligned(tables)
     if len(wv.weights) != len(tables):
@@ -120,10 +199,10 @@ def late_fuse(
     if total <= 0:
         raise ValueError("weights sum to zero")
     lams = [lam / total for lam in lams]  # exactly on the simplex in Q
-    scores = [
-        float(sum(lam * Fraction(g) for lam, g in zip(lams, row)))
-        for row in zip(*(t.scores.tolist() for t in tables))
-    ]
+    g = np.stack([t.scores for t in tables])
+    scores, certified = _fuse_certified(lams, g)
+    for j in np.flatnonzero(~certified).tolist():
+        scores[j] = float(sum(lam * Fraction(x) for lam, x in zip(lams, g[:, j].tolist())))
     fused_name = name if name is not None else "latefuse[" + ",".join(t.estimator for t in tables) + "]"
     return ScoreTable(fused_name, tables[0].tag, ids, scores, {"weights": wv})
 

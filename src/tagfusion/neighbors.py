@@ -20,7 +20,7 @@ SIMPLEX_ATOL = 1e-9
 
 NORMALIZER_MODES = ("minmax", "rankmax", "none")
 
-_CHUNK_BYTES = 64 * 1024  # output bytes per row chunk of the L1 and RankMax kernels
+_CHUNK_BYTES = 256 * 1024  # output bytes per row chunk of the L1 and RankMax kernels
 
 
 class CalibrationError(ValueError):
@@ -135,24 +135,45 @@ def _chunk_rows(n: int) -> int:
 
 
 def _rankmax_rows(d: np.ndarray) -> None:
-    """RankMax of a C-contiguous (B, n) block in place: one argsort, ties share a rank.
+    """RankMax of a C-contiguous (B, n) block in place: one sort, ties share a rank.
 
-    Nan slots sort as +inf, which keeps argsort on its fast path; a real
-    +inf candidate ties with them and still gets the count of finite
-    candidates as its rank. Each entry's rank is the start of its tie run,
-    found on the sorted values and scattered back by flat index.
+    Nan slots rank as +inf; a real +inf candidate ties with them and still
+    gets the count of finite candidates as its rank. Each row is sorted as
+    int64 keys: an entry's float bit pattern with its low ceil(log2 n) bits
+    replaced by its column, which orders nonnegative floats and +inf as
+    their values and carries the permutation along. Values gathered through
+    it that fail to come out non-decreasing (two values differing only in
+    the replaced bits, or negative values) send the block to an argsort.
+    An entry's rank is the start of its tie run in the sorted values; a
+    block with no tie whose rows all have the same number of candidates
+    takes one shared row of ranks instead.
     """
+    B, n = d.shape
     missing = np.isnan(d)
     d[missing] = np.inf
-    flat = np.argsort(d, axis=1)
-    flat += np.arange(len(d))[:, None] * d.shape[1]
+    count = n - missing.sum(axis=1)
+    low = (1 << (n - 1).bit_length()) - 1
+    row_start = np.arange(B)[:, None] * n
+    flat = d.view(np.int64) & ~low
+    flat |= np.arange(n)
+    flat.sort(axis=1)
+    flat &= low
+    flat += row_start
     rank = d.ravel()[flat]  # sorted values, then tie-run starts, then ranks
-    new_run = rank[:, 1:] != rank[:, :-1]
-    rank[:, :1] = 0.0
-    np.multiply(new_run, np.arange(1.0, d.shape[1]), out=rank[:, 1:])
-    np.maximum.accumulate(rank, axis=1, out=rank)
-    rank /= np.maximum(d.shape[1] - missing.sum(axis=1, keepdims=True), 1)
-    d.ravel()[flat] = rank
+    rising = rank[:, 1:] > rank[:, :-1]
+    if rising.all() and (count == count[0]).all():
+        d.ravel()[flat] = np.arange(n, dtype=np.float64) / max(count[0], 1)
+    else:
+        if not (rank[:, 1:] >= rank[:, :-1]).all():
+            flat = np.argsort(d, axis=1)
+            flat += row_start
+            rank = d.ravel()[flat]
+        new_run = rank[:, 1:] != rank[:, :-1]
+        rank[:, :1] = 0.0
+        np.multiply(new_run, np.arange(1.0, n), out=rank[:, 1:])
+        np.maximum.accumulate(rank, axis=1, out=rank)
+        rank /= np.maximum(count[:, None], 1)
+        d.ravel()[flat] = rank
     d[missing] = np.nan
 
 

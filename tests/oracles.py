@@ -88,6 +88,18 @@ def dict_late_fuse(tables: Sequence[Mapping[str, float]], weights: Sequence[floa
     return fused
 
 
+def fraction_late_fuse(tables: Sequence[ScoreTable], wv: WeightVector) -> list[float]:
+    """`late_fuse`'s scores summed in rationals, candidate by candidate: each
+    is float(sum_i (w_i / sum w) * g_i), rounded once."""
+    lams = [Fraction(w) for w in wv.weights]
+    total = sum(lams)
+    lams = [lam / total for lam in lams]
+    return [
+        float(sum(lam * Fraction(g) for lam, g in zip(lams, row)))
+        for row in zip(*(t.scores.tolist() for t in tables))
+    ]
+
+
 def average_fuse(tables: Sequence[ScoreTable], name: str | None = None) -> ScoreTable:
     """Uniform late fusion: late_fuse with lambda_i = 1/m."""
     wv = WeightVector.uniform(tuple(t.estimator for t in tables))

@@ -1,14 +1,16 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tagfusion.estimators import ScoreTable
 from tagfusion.fusion import (
     ScoreBounds,
+    _fuse_certified,
     borda_rank,
     late_fuse,
     minmax_normalize,
@@ -31,6 +33,7 @@ from oracles import (
     dict_observed_bounds,
     dict_rankmax,
     dict_ranking,
+    fraction_late_fuse,
     scores_of,
 )
 from oracles import dict_table
@@ -408,3 +411,86 @@ class TestWeightFiles:
         got, fallbacks = read_concept_weights(path)
         assert got == per
         assert fallbacks == frozenset({"sea"})
+
+
+# exact midpoints once halved, both zeros, the edges of the certified range
+# (2^-500, 2^500) and beyond it, subnormals and the largest floats
+FUSE_SCORES = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 0.5, -0.5, 0.1, 1 / 3, -2 / 3, 0.04, 0.12, 0.16, 2.0**-500, 2.0**-501,
+        2.0**500, -(2.0**501), 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    ]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# thirds and a tiny weight keep sum w != 1; zeros drop a table
+FUSE_WEIGHTS = st.one_of(st.sampled_from([0.0, 1 / 3, 2 / 3, 1e-300, 0.5, 1.0]), st.floats(0.0, 5.0))
+
+
+class TestLateFuseMatchesFractionOracle:
+    """The certified double-double kernel equals summing in rationals, bit for bit."""
+
+    @settings(max_examples=400)
+    @given(
+        columns=st.integers(1, 8).flatmap(
+            lambda n: st.lists(st.lists(FUSE_SCORES, min_size=n, max_size=n), min_size=1, max_size=4)
+        ),
+        weights=st.lists(FUSE_WEIGHTS, min_size=4, max_size=4),
+    )
+    def test_bit_identical(self, columns, weights):
+        w = weights[: len(columns)]
+        assume(sum(w) > 0)
+        names = [f"e{j}" for j in range(len(columns))]
+        try:
+            wv = WeightVector(tuple(names), tuple(w))  # as given, sum w != 1 exactly
+        except ValueError:
+            wv = WeightVector.normalized(names, w)
+        ids = [f"c{i:02d}" for i in range(len(columns[0]))]
+        tables = [dict_table(e, "w", dict(zip(ids, col))) for e, col in zip(names, columns)]
+        got = late_fuse(tables, wv).scores.tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in fraction_late_fuse(tables, wv)]
+
+    @settings(max_examples=200)
+    @given(
+        x=st.floats(2.0**-400, 2.0**400),
+        sign=st.sampled_from([1.0, -1.0]),
+        apart=st.integers(1, 3),
+    )
+    def test_exact_midpoints_are_decided_without_rationals(self, x, sign, apart):
+        # (x + y) / 2 of floats `apart` ulps apart: an exact midpoint when odd
+        y = x
+        for _ in range(apart):
+            y = math.nextafter(y, math.inf)
+        g = np.array([[sign * x], [sign * y]])
+        fused, certified = _fuse_certified([Fraction(1, 2)] * 2, g)
+        assert certified.all()
+        assert fused[0].hex() == float((Fraction(sign * x) + Fraction(sign * y)) / 2).hex()
+
+    def test_rankmax_and_minmax_averages_need_no_rationals(self):
+        rng = np.random.default_rng(9)
+        for m in (2, 4):
+            tables = random_tables(rng, m, 300, quantize=7)
+            lams = [Fraction(1, m)] * m
+            for tabs in ([rankmax_normalize(t) for t in tables], tables):
+                _, certified = _fuse_certified(lams, np.array([t.scores for t in tabs]))
+                assert certified.all()
+
+    def test_uncertified_candidates_fall_back_to_rationals(self):
+        # lambda = 1/3, 2/3 and (0.04 + 2 * 0.16) / 3 lands on an exact midpoint;
+        # 1e308 is past the certified range
+        t1 = table({"a": 0.04, "b": 1e308, "c": 0.5}, estimator="e0")
+        t2 = table({"a": 0.16, "b": 0.0, "c": 0.25}, estimator="e1")
+        wv = WeightVector(("e0", "e1"), (1 / 3, 2 / 3))
+        lams = [Fraction(w) / sum(map(Fraction, wv.weights)) for w in wv.weights]
+        _, certified = _fuse_certified(lams, np.array([t1.scores, t2.scores]))
+        assert certified.tolist() == [False, False, True]
+        got = late_fuse([t1, t2], wv).scores.tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in fraction_late_fuse([t1, t2], wv)]
+
+    def test_residue_below_the_compensation_still_decides_a_near_midpoint(self):
+        # 1 + 2^-53 + 2^-200: the compensation holds 2^-53 but not 2^-200,
+        # and without that residue the sum would round to even, down to 1.0
+        tables = [table({"a": g}, estimator=f"e{j}") for j, g in enumerate([2.0, 2.0**-51, 2.0**-198])]
+        wv = WeightVector(("e0", "e1", "e2"), (0.5, 0.25, 0.25))
+        assert late_fuse(tables, wv).scores.tolist() == [1.0 + 2.0**-52]
+        assert fraction_late_fuse(tables, wv) == [1.0 + 2.0**-52]

@@ -430,6 +430,39 @@ def distance_blocks(draw, quantized=st.booleans()):
     return np.array(rows, dtype=np.float64), np.array(own)
 
 
+@st.composite
+def key_sort_blocks(draw):
+    """(B, n) blocks aimed at RankMax's int64-key sort: n of 1, 2, 2^j or
+    2^j + 1; values that differ only in their low ceil(log2 n) bits, the
+    bits a key gives to the column; -0.0 beside +0.0; negative values and
+    +inf. Own slots are none, one per row, or mixed, so the rows of a block
+    share a candidate count or not."""
+    j = draw(st.integers(2, 5))
+    n = draw(st.sampled_from([1, 2, 2**j, 2**j + 1]))
+    low = (1 << (n - 1).bit_length()) - 1
+    bases = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=3))
+
+    def low_bits(base_and_bits):
+        base, bits = base_and_bits
+        key = np.array([base]).view(np.int64)
+        return float(((key & ~low) | bits).view(np.float64)[0])
+
+    values = st.one_of(
+        st.sampled_from(bases),
+        st.tuples(st.sampled_from(bases), st.integers(0, low)).map(low_bits),
+        st.sampled_from([0.0, -0.0, np.inf]),
+        st.floats(-1e6, 1e6),
+    )
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=6))
+    slots = draw(st.sampled_from(["none", "each", "mixed"] if n > 1 else ["none"]))
+    if slots == "none":
+        own = [-1] * len(rows)
+    else:
+        first = 0 if slots == "each" else -1
+        own = draw(st.lists(st.integers(first, n - 1), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=np.float64), np.array(own)
+
+
 def with_own_nan(d, own):
     d = d.copy()
     rows = np.nonzero(own >= 0)[0]
@@ -453,6 +486,29 @@ class TestRankMaxApply:
         want = norm.apply(with_own_nan(d, own)).tobytes()
         for transform in (lambda x: x**3 + 7.0, np.sqrt, lambda x: -np.exp(-x)):
             assert norm.apply(with_own_nan(transform(d), own)).tobytes() == want
+
+    @settings(max_examples=400)
+    @given(block=key_sort_blocks())
+    def test_key_collisions_signs_and_widths_match_per_row_oracle(self, block):
+        d, own = block
+        got = DistanceNormalizer("rankmax").apply(with_own_nan(d, own))
+        assert got.tobytes() == rankmax_rows(d, own).tobytes()
+
+    def test_argsort_only_for_keys_that_do_not_sort_the_values(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+        rng = np.random.default_rng(3)
+        d = rng.uniform(0.0, 50.0, size=(5, 64))
+        own = np.array([0, 9, 63, 5, 2])
+        norm = DistanceNormalizer("rankmax")
+        assert norm.apply(with_own_nan(d, own)).tobytes() == rankmax_rows(d, own).tobytes()
+        assert calls == []
+        # two values apart only in the low 6 bits, the smaller in the later column
+        key = (d[2, 7:8].view(np.int64) & ~63) | 32
+        d[2, 7], d[2, 40] = key.view(np.float64)[0], (key - 1).view(np.float64)[0]
+        assert norm.apply(with_own_nan(d, own)).tobytes() == rankmax_rows(d, own).tobytes()
+        assert calls == [1]
 
     def test_row_without_candidates_stays_nan(self):
         got = DistanceNormalizer("rankmax").apply(np.array([[np.nan], [2.0]]))

@@ -710,7 +710,77 @@ class TestCliOptionTables:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: cannot save feature 'a\\tb': its name holds a tab, CR or LF\n"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("score", "k", "0", "must be >= 1, got 0"),
+            ("score", "kde_sample_cap", "-3", "must be >= 1, got -3"),
+            ("score", "calib_sample_size", "0", "must be >= 1, got 0"),
+            ("learn", "cutoff", "0", "must be >= 1, got 0"),
+            ("learn", "line_steps", "0", "must be >= 1, got 0"),
+            ("learn", "max_sweeps", "0", "must be >= 1, got 0"),
+            ("learn", "restarts", "-1", "must be >= 1, got -1"),
+            ("learn", "metric", "map", "must be one of ap, ndcg; got 'map'"),
+            ("eval", "cutoff", "0", "must be >= 1, got 0"),
+        ],
+    )
+    def test_config_value_out_of_range_names_file_and_line(
+        self, tmp_path, capsys, command, key, value, message
+    ):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"# comment\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {key}: {message}\n"
+        assert not out.exists()
+
+
+class TestCliLearnEarlyNorm:
+    """Early weights are fit on MinMax distances, so early RankMax is refused."""
+
+    MESSAGE = (
+        "error: learn --scheme early fits its weights on MinMax distances, for every "
+        "early preset; --norm rankmax applies to --scheme late only\n"
+    )
+
+    def world(self, tmp_path):
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--out", str(data), "--images", "40", "--tags", "3",
+            "--features", "visa:2,visb:2", "--seed", "3",
+        ]) == 0
+        return [
+            "--tags", str(data / "tags.tsv"),
+            "--features", f"{data / 'visa.tsv'},{data / 'visb.tsv'}",
+            "--qrels", str(data / "qrels.tsv"), "--k", "5", "--pairs", "20",
+        ]
+
+    def test_flag_is_refused_and_nothing_written(self, tmp_path, capsys):
+        files = self.world(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "learned"
+        argv = ["learn", *files, "--scheme", "early", "--norm", "rankmax", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists()
+
+    def test_config_file_is_refused_and_nothing_written(self, tmp_path, capsys):
+        files = self.world(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("scheme = early\nnorm = rankmax\n")
+        out = tmp_path / "learned"
+        assert main(["learn", "--config", str(cfg), *files, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists()
+
+    def test_minmax_is_still_learned(self, tmp_path):
+        files = self.world(tmp_path)
+        out = tmp_path / "learned"
+        assert main(["learn", *files, "--scheme", "early", "--norm", "minmax", "--out", str(out)]) == 0
+        assert (out / "weights-global.tsv").exists()
 
 
 class TestChecksBeforeNeighborPasses:
