@@ -8,6 +8,7 @@ component, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -84,12 +85,26 @@ def _at_least_one(value: str) -> int:
     return number
 
 
+def _finite_above(bound: float) -> Callable[[str], float]:
+    def above(value: str) -> float:
+        number = float(value)
+        if not (math.isfinite(number) and number > bound):
+            raise ValueError(f"must be finite and > {bound:g}, got {number!r}")
+        return number
+
+    return above
+
+
 _metric = _choice("ap", "ndcg")
+_positive = _finite_above(0.0)
+_above_one = _finite_above(1.0)
 
 # A flag of these keys parses as its plain type; the setting that uses it
 # refuses a value out of range (exit 2, naming the setting). In a config
 # file the converter refuses it, naming the file and line.
-_FLAG_TYPES: dict[Callable, Callable] = {_at_least_one: int, _metric: str}
+_FLAG_TYPES: dict[Callable, Callable] = {
+    _at_least_one: int, _metric: str, _positive: float, _above_one: float
+}
 
 # key -> (converter, default); shared across flag parsing and config files
 Opt = tuple[Callable[[str], object], object]
@@ -303,11 +318,11 @@ LEARN_OPTIONS: dict[str, Opt] = {
     "cutoff": (_at_least_one, 100),
     "per_concept": (_bool, False),
     "min_pos": (int, 1),
-    "pairs": (int, 1000),
-    "delta0": (float, 0.05),
-    "growth": (float, 2.0),
+    "pairs": (_at_least_one, 1000),
+    "delta0": (_positive, 0.05),
+    "growth": (_above_one, 2.0),
     "line_steps": (_at_least_one, 10),
-    "tol": (float, 1e-6),
+    "tol": (_positive, 1e-6),
     "max_sweeps": (_at_least_one, 50),
     "restarts": (_at_least_one, 3),
 }
@@ -404,7 +419,7 @@ EVAL_OPTIONS: dict[str, Opt] = {
     "qrels": (str, None),
     "out": (str, None),
     "cutoff": (_at_least_one, 100),
-    "n_perm": (int, 100000),
+    "n_perm": (_at_least_one, 100000),
     "seed": (int, 0),
 }
 

@@ -266,10 +266,22 @@ def semantic_field_table(c: Collection, w: str, model: TagSimilarityModel) -> Sc
 # ---------------------------------------------------------------------------
 
 
+def _median(d: np.ndarray) -> float:
+    """np.median of nonnegative `d`, bit for bit, from one partition: the
+    middle order statistic, or (a + b) / 2 of the middle two for an even
+    count."""
+    h = len(d) // 2
+    if len(d) % 2:
+        return float(np.partition(d, h)[h])
+    part = np.partition(d, (h - 1, h))
+    return (float(part[h - 1]) + float(part[h])) / 2
+
+
 def _kde_sigma(
     c: Collection, w: str, feature: str, sample_cap: int, seed: int
 ) -> float:
-    """Median pairwise L1 distance over a seeded sample of tagged images."""
+    """Median pairwise L1 distance over a seeded sample of tagged images
+    (`_median`, numpy's median taken from one partition)."""
     members = sorted(images_with_tag(c, w))
     if len(members) < 2:
         return 1.0
@@ -281,7 +293,7 @@ def _kde_sigma(
     else:
         ii, jj = _distinct_pairs(np.random.default_rng([seed, 1]), len(members), sample_cap)
     d = np.abs(matrix[idx[ii]] - matrix[idx[jj]]).sum(axis=1)
-    sigma = float(np.median(d))
+    sigma = _median(d)
     return sigma if sigma > 0.0 else 1.0
 
 

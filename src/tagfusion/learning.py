@@ -16,6 +16,7 @@ weights when a tag has too few relevant training items.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -30,14 +31,25 @@ from .neighbors import DistanceNormalizer, WeightVector
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection max(v - theta, 0) onto the probability simplex,
+    by the sort-based threshold of Duchi et al. ("Efficient projections onto
+    the l1-ball for learning in high dimensions", ICML 2008). theta is found
+    on Python floats, one per coordinate, summed in descending order as
+    np.sort(v)[::-1] and np.cumsum take them: the last running threshold
+    (sum of the top k - 1) / k that the k-th largest value exceeds. Raises
+    ValueError for an empty or non-finite vector, or one so large that
+    rounding leaves no value above its threshold."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(v) + 1)
-    cond = u > (css - 1.0) / ks
-    k = int(np.nonzero(cond)[0][-1])
-    theta = (css[k] - 1.0) / (k + 1)
+    total, theta = 0.0, None
+    for k, u in enumerate(sorted(v.tolist(), reverse=True), start=1):
+        total += u
+        t = (total - 1.0) / k
+        if u > t:
+            theta = t
+    if not (len(v) and math.isfinite(total)):
+        raise ValueError(f"simplex_project needs a nonempty finite vector, got {v.tolist()!r}")
+    if theta is None:
+        raise ValueError(f"simplex_project: rounding leaves no threshold for {v.tolist()!r}")
     return np.maximum(v - theta, 0.0)
 
 
@@ -218,8 +230,10 @@ def learn_distance_weights(
 
     Projected gradient descent from uniform weights with backtracking line
     search (start 0.1, halve on non-decrease, floor 1e-8); stops when the
-    relative loss change drops below 1e-8 or after 1000 iterations. The
-    recorded loss trace is non-increasing.
+    relative loss change drops below 1e-8 or after 1000 iterations. Each
+    trial projects one candidate (`simplex_project`); the accepted one's
+    exp(-d w) and residual carry into the next gradient. The recorded loss
+    trace is non-increasing.
     """
     d = np.asarray(pair_distances, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -233,12 +247,13 @@ def learn_distance_weights(
         raise ValueError("distances must be finite and nonnegative")
     m = d.shape[1]
 
-    def loss_at(w: np.ndarray) -> float:
+    def residual(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         e = np.exp(-(d @ w))
-        return float(np.sum((e - y) ** 2))
+        r = e - y
+        return e, r, float(np.add.reduce(r * r))  # np.sum(r**2) without its wrapper
 
     w = np.full(m, 1.0 / m)
-    loss = loss_at(w)
+    e, r, loss = residual(w)
     if not np.isfinite(loss):
         raise ValueError("non-finite loss; check input distances")
     trace = [loss]
@@ -247,24 +262,20 @@ def learn_distance_weights(
         return GradientResult(WeightVector(tuple(names), (1.0,)), loss, tuple(trace))
 
     for _ in range(config.max_iter):
-        e = np.exp(-(d @ w))
-        grad = -2.0 * (d.T @ ((e - y) * e))
+        grad = -2.0 * (d.T @ (r * e))
         step = config.step0
-        accepted = None
         while step >= config.step_floor:
             cand = simplex_project(w - step * grad)
-            cand_loss = loss_at(cand)
+            cand_e, cand_r, cand_loss = residual(cand)
             if cand_loss < loss:
-                accepted = (cand, cand_loss)
                 break
             step /= 2.0
-        if accepted is None:
+        else:  # no step decreased the loss
             break
-        new_w, new_loss = accepted
-        rel_change = (loss - new_loss) / max(abs(loss), 1e-300)
-        w, loss = new_w, new_loss
+        rel_change = (loss - cand_loss) / max(abs(loss), 1e-300)
+        w, e, r, loss = cand, cand_e, cand_r, cand_loss
         trace.append(loss)
-        weight_trace.append(tuple(float(v) for v in w))
+        weight_trace.append(tuple(w.tolist()))
         if rel_change < config.rel_tol:
             break
     weights = WeightVector.normalized(tuple(names), tuple(float(v) for v in w))

@@ -261,8 +261,19 @@ def _distinct_pairs(rng: np.random.Generator, n: int, size: int) -> tuple[np.nda
 
 
 def _percentile_upper(distances: np.ndarray) -> float:
-    # 99.5th percentile rather than the max, for outlier robustness
-    return float(np.percentile(distances, 99.5))
+    """The 99.5th percentile of finite `distances` (rather than the max, for
+    outlier robustness), bit for bit as np.percentile's default linear
+    method takes it, from one partition: the virtual index is
+    v = (n - 1) * 0.995, and with a, b the order statistics at floor(v) and
+    the next and t = v - floor(v), the value is a + (b - a) * t, or
+    b - (b - a) * (1 - t) when t >= 0.5."""
+    n = len(distances)
+    v = (n - 1) * 0.995
+    lo = math.floor(v)
+    hi = min(lo + 1, n - 1)
+    part = np.partition(distances, (lo, hi))
+    a, b, t = float(part[lo]), float(part[hi]), v - lo
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def calibrate_normalizer(

@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from tagfusion.collection import Collection, FeatureMatrix, ImageRecord
 from tagfusion.learning import _label_matrix, sample_pairs
@@ -21,6 +23,23 @@ os.environ.setdefault(
 # no example database and no per-example deadline; tests set only how many.
 settings.register_profile("tagfusion", derandomize=True, database=None, deadline=None)
 settings.load_profile("tagfusion")
+
+
+@st.composite
+def distance_arrays(draw, max_size=3000):
+    """1..max_size nonnegative float64 values: spread, constant, heavily
+    tied (four distinct values) or log-uniform over 1e-300..1e300."""
+    n = draw(st.integers(1, max_size))
+    kind = draw(st.sampled_from(("spread", "constant", "ties", "log-uniform")))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "spread":
+        return rng.random(n) * scale
+    if kind == "constant":
+        return np.full(n, rng.random() * scale)
+    if kind == "ties":
+        return rng.integers(0, 4, size=n) * scale
+    return np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n))
 
 
 def make_collection(records, features=None):

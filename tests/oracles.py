@@ -25,6 +25,7 @@ from tagfusion.collection import (
 from tagfusion.estimators import ScoreTable, TagSimilarityModel, _kde_sigma, vote_tables
 from tagfusion.evalkit import rank_metric
 from tagfusion.fusion import ScoreBounds, _rank_unit, late_fuse
+from tagfusion.learning import GradientConfig, GradientResult
 from tagfusion.neighbors import DistanceNormalizer, WeightVector, distance_block
 
 
@@ -207,6 +208,63 @@ def ascent_objective(evals, raw: np.ndarray, metric: str, cutoff: int) -> float 
 def mean_metric_rows(evals, raw: np.ndarray, metric: str, cutoff: int) -> list[float | None]:
     """`learning._mean_metric` computed one weight row at a time."""
     return [ascent_objective(evals, row, metric, cutoff) for row in raw]
+
+
+def numpy_simplex_project(v: np.ndarray) -> np.ndarray:
+    """`learning.simplex_project` in numpy calls: sort descending, cumsum,
+    and the last index passing the threshold test (IndexError when none
+    does)."""
+    v = np.asarray(v, dtype=np.float64)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, len(v) + 1)
+    cond = u > (css - 1.0) / ks
+    k = int(np.nonzero(cond)[0][-1])
+    theta = (css[k] - 1.0) / (k + 1)
+    return np.maximum(v - theta, 0.0)
+
+
+def numpy_learn_distance_weights(
+    d: np.ndarray, labels, names, config: GradientConfig = GradientConfig()
+) -> GradientResult:
+    """`learning.learn_distance_weights` on valid input, recomputing
+    exp(-d w) for every gradient and projecting with `numpy_simplex_project`."""
+    y = np.asarray(labels, dtype=np.float64)
+    m = d.shape[1]
+
+    def loss_at(w: np.ndarray) -> float:
+        e = np.exp(-(d @ w))
+        return float(np.sum((e - y) ** 2))
+
+    w = np.full(m, 1.0 / m)
+    loss = loss_at(w)
+    trace = [loss]
+    weight_trace: list[tuple[float, ...]] = []
+    if m == 1:
+        return GradientResult(WeightVector(tuple(names), (1.0,)), loss, tuple(trace))
+    for _ in range(config.max_iter):
+        e = np.exp(-(d @ w))
+        grad = -2.0 * (d.T @ ((e - y) * e))
+        step = config.step0
+        accepted = None
+        while step >= config.step_floor:
+            cand = numpy_simplex_project(w - step * grad)
+            cand_loss = loss_at(cand)
+            if cand_loss < loss:
+                accepted = (cand, cand_loss)
+                break
+            step /= 2.0
+        if accepted is None:
+            break
+        new_w, new_loss = accepted
+        rel_change = (loss - new_loss) / max(abs(loss), 1e-300)
+        w, loss = new_w, new_loss
+        trace.append(loss)
+        weight_trace.append(tuple(float(v) for v in w))
+        if rel_change < config.rel_tol:
+            break
+    weights = WeightVector.normalized(tuple(names), tuple(float(v) for v in w))
+    return GradientResult(weights, loss, tuple(trace), tuple(weight_trace))
 
 
 def load_collection_by_line(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tagfusion.collection import (
     SyntheticConfig,
@@ -11,6 +12,8 @@ from tagfusion.collection import (
     tag_prior,
 )
 from tagfusion.estimators import (
+    _kde_sigma,
+    _median,
     build_tag_similarity,
     early_fused_score,
     kde_table,
@@ -24,7 +27,7 @@ from tagfusion.fusion import minmax_normalize, neighbor_vote_bounds, rankmax_nor
 from tagfusion.neighbors import NeighborList, WeightVector, calibrate_normalizers, knn
 from tagfusion.presets import ScoreSettings, build_training_tables, derive_seed, score_preset
 
-from conftest import line_collection, make_collection
+from conftest import distance_arrays, line_collection, make_collection
 from oracles import dict_table, early_fused_table, from_pair_table, scores_of, tag_ranking_kde_score
 
 
@@ -294,6 +297,23 @@ class TestKde:
         a = tag_ranking_kde_score(c, "x000", "w", "f", sample_cap=10, seed=5)
         b = tag_ranking_kde_score(c, "x000", "w", "f", sample_cap=10, seed=5)
         assert a == b
+
+    @settings(max_examples=300)
+    @given(distance_arrays())
+    def test_median_is_numpys_bit_for_bit(self, d):
+        expected = float(np.median(d))
+        got = _median(d)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("members", [3, 4, 7, 8, 30])
+    def test_sigma_is_numpys_median_of_the_tags_pairs(self, members):
+        rng = np.random.default_rng(members)
+        coords = rng.integers(0, 3, size=40).astype(float)  # tied distances
+        c = line_collection(list(coords), [["w"] if i < members else [] for i in range(40)])
+        ii, jj = np.triu_indices(members, k=1)
+        d = np.abs(coords[ii] - coords[jj])
+        sigma = float(np.median(d))
+        assert _kde_sigma(c, "w", "f", sample_cap=10**6, seed=0) == (sigma if sigma > 0 else 1.0)
 
     def test_sample_cap_changes_support(self):
         c = line_collection(

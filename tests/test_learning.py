@@ -22,10 +22,16 @@ from tagfusion.learning import (
     pair_feature_distances,
     simplex_project,
 )
-from tagfusion.neighbors import DistanceNormalizer, WeightVector
+from tagfusion.neighbors import DistanceNormalizer, WeightVector, calibrate_normalizers
 
 from conftest import labeled_sample, make_collection
-from oracles import dict_table, l1_distance, mean_metric_rows
+from oracles import (
+    dict_table,
+    l1_distance,
+    mean_metric_rows,
+    numpy_learn_distance_weights,
+    numpy_simplex_project,
+)
 
 
 def grid_ap_oracle(tables, relevant, resolution=0.005, metric="ap"):
@@ -75,6 +81,115 @@ class TestSimplexProjection:
             p = simplex_project(v)
             assert np.all(p >= 0)
             assert abs(p.sum() - 1.0) <= 1e-9
+
+
+# Projection inputs: zeros of both signs, ties (values drawn from a small
+# pool), negatives, and magnitudes from 1e-300 to 1e300.
+_projection_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1 / 3, 2.0]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(-10, 10, allow_nan=False), st.integers(-300, 300),
+    ),
+)
+
+
+@st.composite
+def projection_inputs(draw):
+    pool = draw(st.lists(_projection_values, min_size=1, max_size=8))
+    m = draw(st.integers(1, 8))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
+
+
+def assert_projects_like_numpy(v):
+    """simplex_project(v) equals the numpy reference bit for bit (signs of
+    zero included), or raises ValueError where rounding leaves the
+    reference no threshold (IndexError there)."""
+    try:
+        expected = numpy_simplex_project(v)
+    except IndexError:
+        with pytest.raises(ValueError, match="no threshold"):
+            simplex_project(v)
+        return
+    got = simplex_project(v)
+    assert got.tobytes() == expected.tobytes(), (v, got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestSimplexProjectionMatchesNumpy:
+    @settings(max_examples=500)
+    @given(projection_inputs())
+    def test_bit_for_bit(self, v):
+        assert_projects_like_numpy(v)
+
+    def test_seeded_vectors_with_ties_and_wide_magnitudes(self):
+        rng = np.random.default_rng(25)
+        for _ in range(4000):
+            m = int(rng.integers(1, 9))
+            v = rng.normal(size=m) * 10.0 ** rng.integers(-300, 301, size=m)
+            v[rng.random(m) < 0.2] = 0.0
+            if m > 1 and rng.random() < 0.5:  # ties
+                v[rng.integers(0, m, size=m)] = v[0]
+            assert_projects_like_numpy(v)
+
+    @pytest.mark.parametrize(
+        "v", [[], [np.nan], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5], [np.inf, -np.inf]]
+    )
+    def test_empty_or_non_finite_refused(self, v):
+        with pytest.raises(ValueError, match="nonempty finite vector"):
+            simplex_project(np.array(v, dtype=np.float64))
+
+    def test_no_threshold_refused(self):
+        v = np.array([1e300])  # 1e300 - 1.0 rounds back to 1e300
+        with pytest.raises(IndexError):
+            numpy_simplex_project(v)
+        with pytest.raises(ValueError, match="no threshold"):
+            simplex_project(v)
+
+
+class TestDistanceLearningMatchesNumpyLoop:
+    """The fit carrying exp(-d w) and the residual between iterations equals
+    the loop that recomputes them, in every recorded float."""
+
+    @staticmethod
+    def assert_same_fit(d, y, names):
+        got = learn_distance_weights(d, y, names)
+        ref = numpy_learn_distance_weights(d, y, names)
+        assert got.weights == ref.weights
+        assert got.loss == ref.loss
+        assert got.trace == ref.trace
+        assert got.weight_trace == ref.weight_trace
+        return len(got.trace)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_seeded_pair_sets(self, m):
+        steps = 0
+        for seed in range(6):
+            rng = np.random.default_rng([m, seed])
+            n = int(rng.integers(1, 300))
+            y = rng.integers(0, 2, size=n)
+            # every feature partly informative, each to its own degree
+            gap = np.where(y == 1, 0.2, 0.8)[:, None] * rng.uniform(0.2, 1.0, size=m)
+            d = rng.uniform(0.0, 1.0, size=(n, m)) + gap
+            if seed % 2:
+                d = np.round(d * 8) / 8  # quantized: tied distances
+            steps += self.assert_same_fit(d, y, [f"f{j}" for j in range(m)])
+        assert m == 1 or steps > 6 * 5  # the descent took steps
+
+    def test_pairs_of_a_synthetic_world(self):
+        feats = tuple(SyntheticFeature(f"v{j}", 4) for j in range(3))
+        c, truth = generate_collection(SyntheticConfig(
+            n_images=120, n_tags=4, n_users=10, features=feats,
+            q_correct=0.9, q_incorrect=0.05, seed=4,
+        ))
+        rows, labels = learning._label_matrix(Qrels.from_ground_truth(truth), c)
+        norms = calibrate_normalizers(c, [f.name for f in feats], "minmax", sample_size=500)
+        for k in range(labels.shape[1]):
+            pairs = learning.sample_pairs(labels[:, [k]], 200, seed=k)
+            d = pair_feature_distances(c, rows[pairs[:, :2]], [f.name for f in feats], norms)
+            for names in (["v0", "v1"], ["v0", "v1", "v2"]):
+                self.assert_same_fit(d[:, : len(names)], pairs[:, 2], names)
 
 
 class TestSamplePairs:

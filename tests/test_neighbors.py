@@ -18,7 +18,7 @@ from tagfusion.neighbors import (
     pairwise_l1,
 )
 
-from conftest import line_collection, make_collection
+from conftest import distance_arrays, line_collection, make_collection
 from oracles import combined_distance, l1_distance, rankmax_rows
 
 
@@ -124,6 +124,25 @@ class TestCalibration:
         expected = np.percentile(dists, 99.5)
         assert _percentile_upper(dists) == expected
         assert abs(_percentile_upper(dists) - 995.0) < 0.1
+
+    @settings(max_examples=300)
+    @given(distance_arrays())
+    def test_percentile_is_numpys_bit_for_bit(self, dists):
+        expected = float(np.percentile(dists, 99.5))
+        got = _percentile_upper(dists)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_percentile_of_signed_values_and_every_small_size(self):
+        rng = np.random.default_rng(25)
+        for n in range(1, 400):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301)
+            x[rng.random(n) < 0.3] = x[0]  # ties
+            assert _percentile_upper(x) == float(np.percentile(x, 99.5))
+
+    def test_percentile_leaves_its_input_unchanged(self):
+        dists = np.arange(10.0)[::-1].copy()
+        _percentile_upper(dists)
+        assert dists.tolist() == list(np.arange(10.0)[::-1])
 
     def test_mode_none_is_passthrough(self):
         c = line_collection([0.0, 1.0])

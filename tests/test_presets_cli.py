@@ -724,6 +724,14 @@ class TestCliOptionTables:
             ("learn", "restarts", "-1", "must be >= 1, got -1"),
             ("learn", "metric", "map", "must be one of ap, ndcg; got 'map'"),
             ("eval", "cutoff", "0", "must be >= 1, got 0"),
+            ("learn", "pairs", "0", "must be >= 1, got 0"),
+            ("eval", "n_perm", "-5", "must be >= 1, got -5"),
+            ("learn", "delta0", "0", "must be finite and > 0, got 0.0"),
+            ("learn", "delta0", "inf", "must be finite and > 0, got inf"),
+            ("learn", "tol", "nan", "must be finite and > 0, got nan"),
+            ("learn", "tol", "-1e-6", "must be finite and > 0, got -1e-06"),
+            ("learn", "growth", "1", "must be finite and > 1, got 1.0"),
+            ("learn", "growth", "-inf", "must be finite and > 1, got -inf"),
         ],
     )
     def test_config_value_out_of_range_names_file_and_line(
@@ -735,6 +743,53 @@ class TestCliOptionTables:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:2: {key}: {message}\n"
         assert not out.exists()
+
+
+class TestCliNumericFlags:
+    """A numeric flag parses as its plain type, so a value out of range
+    reaches the setting that uses it, which refuses it (exit 2)."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--out", str(data), "--images", "40", "--tags", "3",
+            "--features", "visa:2,visb:2", "--seed", "3",
+        ]) == 0
+        return data, [
+            "--tags", str(data / "tags.tsv"),
+            "--features", f"{data / 'visa.tsv'},{data / 'visb.tsv'}", "--k", "5",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scheme", "early", "--pairs", "0"], "n_pairs must be >= 1"),
+            (["--delta0", "0"], "delta0 > 0, tol > 0, steps >= 1 required"),
+            (["--tol", "nan"], "tol must be finite"),
+            (["--growth", "1"], "growth must exceed 1"),
+        ],
+    )
+    def test_learn_flag_out_of_range(self, files, tmp_path, capsys, flags, message):
+        data, common = files
+        out = tmp_path / "learned"
+        capsys.readouterr()
+        argv = ["learn", *common, "--qrels", str(data / "qrels.tsv"), "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_eval_n_perm_flag_out_of_range(self, files, tmp_path, capsys):
+        data, common = files
+        runs = [tmp_path / f"{p}.run" for p in ("tagrel-visa", "tagrel-visb")]
+        for run in runs:
+            assert main(["score", *common, "--preset", run.stem, "--out", str(run)]) == 0
+        report = tmp_path / "report.txt"
+        capsys.readouterr()
+        argv = ["eval", "--qrels", str(data / "qrels.tsv"), "--n-perm", "0", "--out", str(report)]
+        assert main([*argv, *map(str, runs)]) == 2
+        assert capsys.readouterr().err == "error: n_perm must be >= 1\n"
+        assert not report.exists()
 
 
 class TestCliLearnEarlyNorm:
