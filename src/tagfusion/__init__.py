@@ -55,7 +55,6 @@ from .fusion import (
 from .learning import (
     AscentConfig,
     AscentResult,
-    GradientConfig,
     GradientResult,
     PairSampleError,
     PerConceptResult,

@@ -31,7 +31,6 @@ from .fusion import (
 )
 from .learning import (
     AscentConfig,
-    GradientConfig,
     _fit_pairs,
     _label_matrix,
     coordinate_ascent,
@@ -70,19 +69,22 @@ def _bool(value: str) -> bool:
 
 
 def _choice(*values: str) -> Callable[[str], str]:
-    def choice(value: str) -> str:  # argparse reports "invalid choice value: ..."
+    def one_of(value: str) -> str:
         if value not in values:
             raise ValueError(f"must be one of {', '.join(values)}; got {value!r}")
         return value
 
-    return choice
+    return one_of
 
 
-def _at_least_one(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"must be >= 1, got {number}")
-    return number
+def _at_least(bound: int) -> Callable[[str], int]:
+    def at_least(value: str) -> int:
+        number = int(value)
+        if number < bound:
+            raise ValueError(f"must be >= {bound}, got {number}")
+        return number
+
+    return at_least
 
 
 def _finite_above(bound: float) -> Callable[[str], float]:
@@ -95,18 +97,23 @@ def _finite_above(bound: float) -> Callable[[str], float]:
     return above
 
 
+def _fraction(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {number!r}")
+    return number
+
+
+_at_least_one = _at_least(1)
 _metric = _choice("ap", "ndcg")
 _positive = _finite_above(0.0)
 _above_one = _finite_above(1.0)
 
-# A flag of these keys parses as its plain type; the setting that uses it
-# refuses a value out of range (exit 2, naming the setting). In a config
-# file the converter refuses it, naming the file and line.
-_FLAG_TYPES: dict[Callable, Callable] = {
-    _at_least_one: int, _metric: str, _positive: float, _above_one: float
-}
+# the default of a key its command cannot run without
+REQUIRED = object()
 
-# key -> (converter, default); shared across flag parsing and config files
+# key -> (converter, default or REQUIRED); the converter turns a flag's or
+# a config line's string into the value, refusing one out of range
 Opt = tuple[Callable[[str], object], object]
 
 
@@ -130,25 +137,31 @@ def read_config_file(path: str | Path) -> dict[str, tuple[int, str]]:
 
 
 def _resolve(args: argparse.Namespace, options: dict[str, Opt]) -> dict[str, object]:
-    config: dict[str, tuple[int, str]] = {}
-    if getattr(args, "config", None):
-        config = read_config_file(args.config)
+    """Each key's value: its flag, else its config line, both converted by
+    the key's converter, else its default. Raises CliError on a bad value,
+    then on a required key left missing or empty."""
+    config = read_config_file(args.config) if args.config else {}
     for key, (no, _) in config.items():
         if key not in options:
             raise CliError(f"{args.config}:{no}: unknown config key {key!r}")
     resolved: dict[str, object] = {}
     for key, (convert, default) in options.items():
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
-            resolved[key] = flag_value
+            value, where = flag_value, key
         elif key in config:
             no, value = config[key]
-            try:
-                resolved[key] = convert(value)
-            except ValueError as exc:
-                raise CliError(f"{args.config}:{no}: {key}: {exc}") from None
+            where = f"{args.config}:{no}: {key}:"
         else:
             resolved[key] = default
+            continue
+        try:
+            resolved[key] = convert(value)
+        except ValueError as exc:
+            raise CliError(f"{where} {exc}") from None
+    for key, (_, default) in options.items():
+        if default is REQUIRED and resolved[key] in (REQUIRED, "", []):
+            raise CliError(f"{args.command} requires --{key.replace('_', '-')}")
     return resolved
 
 
@@ -157,11 +170,10 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, Opt]) -> No
     for key, (convert, default) in options.items():
         flag = "--" + key.replace("_", "-")
         if convert is _bool:
-            parser.add_argument(flag, action="store_const", const=True, default=None)
+            parser.add_argument(flag, action="store_const", const="true")
         else:
-            parser.add_argument(
-                flag, type=_FLAG_TYPES.get(convert, convert), default=None, metavar=str(default)
-            )
+            shown = None if default is None or default is REQUIRED else str(default)
+            parser.add_argument(flag, metavar=shown)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +181,16 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, Opt]) -> No
 # ---------------------------------------------------------------------------
 
 SYNTH_OPTIONS: dict[str, Opt] = {
-    "out": (str, None),
-    "images": (int, 2000),
-    "tags": (int, 20),
-    "users": (int, 50),
+    "out": (str, REQUIRED),
+    "images": (_at_least_one, 2000),
+    "tags": (_at_least_one, 20),
+    "users": (_at_least_one, 50),
     "features": (str, "visa:8,visb:8"),
     "informativeness": (_choice("split", "all"), "split"),
-    "q_correct": (float, 0.9),
-    "q_incorrect": (float, 0.05),
-    "cluster_spread": (float, 0.05),
-    "seed": (int, 0),
+    "q_correct": (_fraction, 0.9),
+    "q_incorrect": (_fraction, 0.05),
+    "cluster_spread": (_positive, 0.05),
+    "seed": (_at_least(0), 0),
 }
 
 
@@ -207,8 +219,6 @@ def _parse_synth_features(
 
 def cmd_synth(args: argparse.Namespace) -> int:
     opts = _resolve(args, SYNTH_OPTIONS)
-    if not opts["out"]:
-        raise CliError("synth requires --out")
     tag_names = synthetic_tag_names(int(opts["tags"]))
     features = _parse_synth_features(
         str(opts["features"]), tag_names, str(opts["informativeness"])
@@ -241,9 +251,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # the collection and estimator settings that score and learn share
 COLLECTION_OPTIONS: dict[str, Opt] = {
-    "tags": (str, None),
-    "features": (_csv, None),
-    "out": (str, None),
+    "tags": (str, REQUIRED),
+    "features": (_csv, REQUIRED),
+    "out": (str, REQUIRED),
     "k": (_at_least_one, 500),
     "estimators": (_csv, None),
     "kde_feature": (str, None),
@@ -255,18 +265,12 @@ COLLECTION_OPTIONS: dict[str, Opt] = {
 
 SCORE_OPTIONS: dict[str, Opt] = {
     **COLLECTION_OPTIONS,
-    "preset": (str, None),
+    "preset": (str, REQUIRED),
     "run_id": (str, None),
     "query_tags": (_csv, None),
     "weights": (str, None),
     "concept_weights": (str, None),
 }
-
-
-def _load_collection_opts(opts: dict[str, object]):
-    if not opts["tags"] or not opts["features"]:
-        raise CliError("--tags and --features (files) are required")
-    return load_collection(str(opts["tags"]), [str(p) for p in opts["features"]])
 
 
 def _settings_from(opts: dict[str, object], feature_names: tuple[str, ...]) -> ScoreSettings:
@@ -291,11 +295,7 @@ def _settings_from(opts: dict[str, object], feature_names: tuple[str, ...]) -> S
 
 def cmd_score(args: argparse.Namespace) -> int:
     opts = _resolve(args, SCORE_OPTIONS)
-    if not opts["preset"]:
-        raise CliError("score requires --preset (see list-presets)")
-    if not opts["out"]:
-        raise CliError("score requires --out")
-    collection = _load_collection_opts(opts)
+    collection = load_collection(str(opts["tags"]), opts["features"])
     settings = _settings_from(opts, tuple(collection.features))
     run = score_preset(collection, str(opts["preset"]), settings, run_id=opts["run_id"] or None)
     out = Path(str(opts["out"]))
@@ -311,7 +311,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 LEARN_OPTIONS: dict[str, Opt] = {
     **COLLECTION_OPTIONS,
-    "qrels": (str, None),
+    "qrels": (str, REQUIRED),
     "scheme": (_choice(*SCHEMES), "late"),
     "norm": (_choice(*NORMS), "minmax"),
     "metric": (_metric, "ap"),
@@ -340,11 +340,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             "learn --scheme early fits its weights on MinMax distances, for every "
             "early preset; --norm rankmax applies to --scheme late only"
         )
-    if not opts["qrels"]:
-        raise CliError("learn requires --qrels (training judgments)")
-    if not opts["out"]:
-        raise CliError("learn requires --out")
-    collection = _load_collection_opts(opts)
+    collection = load_collection(str(opts["tags"]), opts["features"])
     qrels = read_qrels(str(opts["qrels"]))
     feature_names = tuple(collection.features)
     settings = _settings_from(opts, feature_names)
@@ -379,11 +375,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 log_lines += _log_lines(f"# concept {tag}", pc.traces[tag])
     else:
         normalizers = early_normalizers(collection, settings, "minmax")
-        gcfg = GradientConfig()
         rows, labels = _label_matrix(qrels, collection)
         result = _fit_pairs(
             collection, rows, labels, feature_names, normalizers,
-            int(opts["pairs"]), derive_seed(int(opts["seed"]), "pairs"), gcfg,
+            int(opts["pairs"]), derive_seed(int(opts["seed"]), "pairs"),
         )
         log_lines += _log_lines("# global", (
             (it, name, w, result.trace[it])
@@ -396,7 +391,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 n_pairs=int(opts["pairs"]),
                 min_pos=int(opts["min_pos"]),
                 seed=derive_seed(int(opts["seed"]), "pairs-per-concept"),
-                config=gcfg,
                 global_weights=result.weights,
             )
 
@@ -416,7 +410,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 EVAL_OPTIONS: dict[str, Opt] = {
-    "qrels": (str, None),
+    "qrels": (str, REQUIRED),
     "out": (str, None),
     "cutoff": (_at_least_one, 100),
     "n_perm": (_at_least_one, 100000),
@@ -426,8 +420,6 @@ EVAL_OPTIONS: dict[str, Opt] = {
 
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _resolve(args, EVAL_OPTIONS)
-    if not opts["qrels"]:
-        raise CliError("eval requires --qrels")
     if not args.runs:
         raise CliError("eval requires at least one run file")
     qrels = read_qrels(str(opts["qrels"]))

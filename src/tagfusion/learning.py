@@ -204,12 +204,11 @@ def pair_feature_distances(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradientConfig:
-    step0: float = 0.1
-    step_floor: float = 1e-8
-    rel_tol: float = 1e-8
-    max_iter: int = 1000
+# learn_distance_weights' step schedule and stopping rule
+STEP0 = 0.1
+STEP_FLOOR = 1e-8
+REL_TOL = 1e-8
+MAX_ITER = 1000
 
 
 @dataclass
@@ -224,7 +223,6 @@ def learn_distance_weights(
     pair_distances: np.ndarray,
     labels: Sequence[int],
     names: Sequence[str],
-    config: GradientConfig = GradientConfig(),
 ) -> GradientResult:
     """Fit simplex weights minimizing sum (exp(-sum_i w_i d_i) - y)^2.
 
@@ -261,10 +259,10 @@ def learn_distance_weights(
     if m == 1:
         return GradientResult(WeightVector(tuple(names), (1.0,)), loss, tuple(trace))
 
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         grad = -2.0 * (d.T @ (r * e))
-        step = config.step0
-        while step >= config.step_floor:
+        step = STEP0
+        while step >= STEP_FLOOR:
             cand = simplex_project(w - step * grad)
             cand_e, cand_r, cand_loss = residual(cand)
             if cand_loss < loss:
@@ -276,7 +274,7 @@ def learn_distance_weights(
         w, e, r, loss = cand, cand_e, cand_r, cand_loss
         trace.append(loss)
         weight_trace.append(tuple(w.tolist()))
-        if rel_change < config.rel_tol:
+        if rel_change < REL_TOL:
             break
     weights = WeightVector.normalized(tuple(names), tuple(float(v) for v in w))
     return GradientResult(weights, loss, tuple(trace), tuple(weight_trace))
@@ -334,13 +332,11 @@ class _ConceptEval:
         self.matrix = np.stack([t.scores for t in tables], axis=1)  # C order, one row per id
         self.rel = np.array([x in relevant for x in ids], dtype=bool)
 
-    def metric(self, w_norm: np.ndarray, metric: str, cutoff: int) -> float | np.ndarray:
-        """Rank metric of the float fused ranking: a float for one (m,) weight
-        vector, (B,) values for the rows of a (B, m) array. `matmul` makes one
-        gemv per stacked row, so each row is fused as `matrix @ w` would be;
-        a gemm (`matrix @ W.T`) rounds differently."""
-        if w_norm.ndim == 1:
-            return float(self.metric(w_norm[None], metric, cutoff)[0])
+    def metric(self, w_norm: np.ndarray, metric: str, cutoff: int) -> np.ndarray:
+        """Rank metric of the float fused ranking, (B,) values for the rows
+        of a (B, m) weight array. `matmul` makes one gemv per stacked row, so
+        each row is fused as `matrix @ w` would be; a gemm (`matrix @ W.T`)
+        rounds differently."""
         fused = np.matmul(self.matrix, w_norm[:, :, None])[..., 0]
         order = np.argsort(-fused, axis=1, kind="stable")  # ties by id: rows are id-sorted
         return rank_metric(self.rel[order], metric, cutoff)
@@ -508,13 +504,12 @@ def learn_per_concept(
 def _fit_pairs(
     c: Collection, rows: np.ndarray, labels: np.ndarray, features: Sequence[str],
     normalizers: Mapping[str, DistanceNormalizer] | None, n_pairs: int, seed: int,
-    config: GradientConfig,
 ) -> GradientResult:
     """Distance weights fit on a seeded pair sample of `labels`, whose rows
     are the collection rows `rows`."""
     pairs = sample_pairs(labels, n_pairs, seed)
     d = pair_feature_distances(c, rows[pairs[:, :2]], features, normalizers)
-    return learn_distance_weights(d, pairs[:, 2], features, config)
+    return learn_distance_weights(d, pairs[:, 2], features)
 
 
 def learn_distance_weights_per_concept(
@@ -527,7 +522,6 @@ def learn_distance_weights_per_concept(
     n_pairs: int,
     min_pos: int = 1,
     seed: int = 0,
-    config: GradientConfig = GradientConfig(),
     global_weights: WeightVector | None = None,
 ) -> PerConceptResult:
     """Per-concept metric learning on the label matrix (collection `rows`,
@@ -537,14 +531,14 @@ def learn_distance_weights_per_concept(
     relevant images, or whose column yields no pair sample, keeps the global
     weights (fit with `seed` when not given) and is listed in `fallbacks`."""
     if global_weights is None:
-        global_weights = _fit_pairs(c, rows, labels, features, normalizers, n_pairs, seed, config).weights
+        global_weights = _fit_pairs(c, rows, labels, features, normalizers, n_pairs, seed).weights
     per_concept = dict.fromkeys(tags, global_weights)
     for k, tag in enumerate(tags):
         if labels[:, k].sum() < max(min_pos, 2):  # a positive pair needs two relevant images
             continue
         with contextlib.suppress(PairSampleError):
             per_concept[tag] = _fit_pairs(
-                c, rows, labels[:, [k]], features, normalizers, n_pairs, seed + k + 1, config
+                c, rows, labels[:, [k]], features, normalizers, n_pairs, seed + k + 1
             ).weights
     fallbacks = frozenset(t for t, w in per_concept.items() if w is global_weights)
     return PerConceptResult(global_weights, per_concept, fallbacks)

@@ -25,7 +25,7 @@ from tagfusion.collection import (
 from tagfusion.estimators import ScoreTable, TagSimilarityModel, _kde_sigma, vote_tables
 from tagfusion.evalkit import rank_metric
 from tagfusion.fusion import ScoreBounds, _rank_unit, late_fuse
-from tagfusion.learning import GradientConfig, GradientResult
+from tagfusion.learning import MAX_ITER, REL_TOL, STEP0, STEP_FLOOR, GradientResult
 from tagfusion.neighbors import DistanceNormalizer, WeightVector, distance_block
 
 
@@ -224,9 +224,7 @@ def numpy_simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def numpy_learn_distance_weights(
-    d: np.ndarray, labels, names, config: GradientConfig = GradientConfig()
-) -> GradientResult:
+def numpy_learn_distance_weights(d: np.ndarray, labels, names) -> GradientResult:
     """`learning.learn_distance_weights` on valid input, recomputing
     exp(-d w) for every gradient and projecting with `numpy_simplex_project`."""
     y = np.asarray(labels, dtype=np.float64)
@@ -242,12 +240,12 @@ def numpy_learn_distance_weights(
     weight_trace: list[tuple[float, ...]] = []
     if m == 1:
         return GradientResult(WeightVector(tuple(names), (1.0,)), loss, tuple(trace))
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         e = np.exp(-(d @ w))
         grad = -2.0 * (d.T @ ((e - y) * e))
-        step = config.step0
+        step = STEP0
         accepted = None
-        while step >= config.step_floor:
+        while step >= STEP_FLOOR:
             cand = numpy_simplex_project(w - step * grad)
             cand_loss = loss_at(cand)
             if cand_loss < loss:
@@ -261,7 +259,7 @@ def numpy_learn_distance_weights(
         w, loss = new_w, new_loss
         trace.append(loss)
         weight_trace.append(tuple(float(v) for v in w))
-        if rel_change < config.rel_tol:
+        if rel_change < REL_TOL:
             break
     weights = WeightVector.normalized(tuple(names), tuple(float(v) for v in w))
     return GradientResult(weights, loss, tuple(trace), tuple(weight_trace))

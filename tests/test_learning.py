@@ -437,10 +437,10 @@ class TestCoordinateAscent:
                 relevant = frozenset(truth[tag])
                 ce = _ConceptEval([table], relevant)
                 ranking = table.ranking()
-                w = np.array([1.0])
-                assert ce.metric(w, "ap", 100) == average_precision(ranking, relevant)
+                w = np.array([[1.0]])
+                assert ce.metric(w, "ap", 100)[0] == average_precision(ranking, relevant)
                 for cutoff in (10, 100):
-                    assert ce.metric(w, "ndcg", cutoff) == ndcg_at(ranking, relevant, cutoff)
+                    assert ce.metric(w, "ndcg", cutoff)[0] == ndcg_at(ranking, relevant, cutoff)
                 checked += 1
         assert checked == 100
 

@@ -14,7 +14,6 @@ import tagfusion.learning as learning
 from tagfusion.collection import SyntheticConfig, SyntheticFeature, generate_collection
 from tagfusion.evalkit import Qrels
 from tagfusion.learning import (
-    GradientConfig,
     learn_distance_weights_per_concept,
     sample_pairs,
 )
@@ -190,8 +189,7 @@ def test_per_concept_views_match_reference(monkeypatch):
 
     monkeypatch.setattr(learning, "sample_pairs", checked)
     result = learn_distance_weights_per_concept(
-        c, q.tags(), rows, labels, ["visa", "visb"], None, n_pairs=400, seed=11,
-        config=GradientConfig(max_iter=2),
+        c, q.tags(), rows, labels, ["visa", "visb"], None, n_pairs=400, seed=11
     )
     assert len(calls) == 1 + len(q.tags()) - len(result.fallbacks)
     assert sum(isinstance(r, list) for r in calls) > len(truth) // 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tagfusion.learning as learning
-from tagfusion.cli import main
+from tagfusion.cli import COMMANDS, REQUIRED, _bool, _csv, main
 from tagfusion.collection import (
     SyntheticConfig,
     SyntheticFeature,
@@ -253,7 +253,7 @@ class TestCliSynth:
     def test_negative_seed_refused(self, tmp_path, capsys):
         out = tmp_path / "world"
         assert main(["synth", "--out", str(out), "--seed", "-5"]) == 2
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(SYNTH_PINNED))
@@ -693,15 +693,35 @@ class TestCliOptionTables:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, flag", [("learn", "--scheme"), ("learn", "--norm"), ("synth", "--informativeness")]
+        "command, key, allowed",
+        [
+            ("learn", "scheme", "early, late"),
+            ("learn", "norm", "minmax, rankmax"),
+            ("synth", "informativeness", "split, all"),
+        ],
     )
-    def test_bad_choice_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+    def test_bad_choice_flag_is_a_usage_error(self, tmp_path, capsys, command, key, allowed):
         out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main([command, flag, "bogus", "--out", str(out)])
-        assert exc.value.code == 2
-        assert f"argument {flag}: invalid choice value: 'bogus'" in capsys.readouterr().err
+        assert main([command, f"--{key}", "bogus", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be one of {allowed}; got 'bogus'\n"
         assert not out.exists()
+
+    def test_every_numeric_key_is_ranged_or_listed(self):
+        # a bare int or float converter accepts any number; these keys take
+        # any: min_pos and min_count clamp at 1, derive_seed takes a
+        # negative seed (synth's seed has a range)
+        unranged = {
+            ("score", "min_count"), ("score", "seed"),
+            ("learn", "min_count"), ("learn", "min_pos"), ("learn", "seed"),
+            ("eval", "seed"),
+        }
+        bare = {
+            (command, key)
+            for command, (_, _, options, _) in COMMANDS.items()
+            for key, (convert, _) in (options or {}).items()
+            if convert in (int, float)
+        }
+        assert bare == unranged
 
     def test_unsaveable_feature_name_refused(self, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"
@@ -745,51 +765,113 @@ class TestCliOptionTables:
         assert not out.exists()
 
 
-class TestCliNumericFlags:
-    """A numeric flag parses as its plain type, so a value out of range
-    reaches the setting that uses it, which refuses it (exit 2)."""
+# (command, key, bad value, flags under which the run would not use the
+# key, the converter's message)
+RANGED_CASES = [
+    ("synth", "images", "0", [], "must be >= 1, got 0"),
+    ("synth", "tags", "-2", [], "must be >= 1, got -2"),
+    ("synth", "users", "0", [], "must be >= 1, got 0"),
+    ("synth", "seed", "-1", [], "must be >= 0, got -1"),
+    ("synth", "q_correct", "2", [], "must be in [0, 1], got 2.0"),
+    ("synth", "q_incorrect", "-0.5", [], "must be in [0, 1], got -0.5"),
+    ("synth", "cluster_spread", "nan", [], "must be finite and > 0, got nan"),
+    ("synth", "informativeness", "some", [], "must be one of split, all; got 'some'"),
+    ("score", "k", "0", [], "must be >= 1, got 0"),
+    ("score", "kde_sample_cap", "-3", [], "must be >= 1, got -3"),
+    ("score", "calib_sample_size", "0", [], "must be >= 1, got 0"),
+    ("learn", "k", "0", [], "must be >= 1, got 0"),
+    ("learn", "kde_sample_cap", "0", [], "must be >= 1, got 0"),
+    ("learn", "calib_sample_size", "0", ["--scheme", "late"], "must be >= 1, got 0"),
+    ("learn", "scheme", "sideways", [], "must be one of early, late; got 'sideways'"),
+    ("learn", "norm", "zscore", [], "must be one of minmax, rankmax; got 'zscore'"),
+    ("learn", "metric", "map", ["--scheme", "early"], "must be one of ap, ndcg; got 'map'"),
+    ("learn", "cutoff", "0", ["--scheme", "early"], "must be >= 1, got 0"),
+    ("learn", "pairs", "0", ["--scheme", "late"], "must be >= 1, got 0"),
+    ("learn", "delta0", "0", ["--scheme", "early"], "must be finite and > 0, got 0.0"),
+    ("learn", "growth", "1", ["--scheme", "early"], "must be finite and > 1, got 1.0"),
+    ("learn", "line_steps", "0", ["--scheme", "early"], "must be >= 1, got 0"),
+    ("learn", "tol", "nan", ["--scheme", "early"], "must be finite and > 0, got nan"),
+    ("learn", "max_sweeps", "0", ["--scheme", "early"], "must be >= 1, got 0"),
+    ("learn", "restarts", "-1", ["--scheme", "early"], "must be >= 1, got -1"),
+    ("eval", "cutoff", "0", [], "must be >= 1, got 0"),
+    ("eval", "n_perm", "0", [], "must be >= 1, got 0"),
+]
 
-    @pytest.fixture
-    def files(self, tmp_path):
-        data = tmp_path / "data"
+
+class TestCliNumericFlags:
+    """A flag and a config line take one path: the key's converter refuses
+    a bad value from either before any file is read (exit 2), also where
+    the run would not use the key."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("data")
+        common = [
+            "--tags", str(data / "tags.tsv"),
+            "--features", f"{data / 'visa.tsv'},{data / 'visb.tsv'}",
+        ]
         assert main([
             "synth", "--out", str(data), "--images", "40", "--tags", "3",
             "--features", "visa:2,visb:2", "--seed", "3",
         ]) == 0
-        return data, [
-            "--tags", str(data / "tags.tsv"),
-            "--features", f"{data / 'visa.tsv'},{data / 'visb.tsv'}", "--k", "5",
-        ]
+        run = data / "one.run"  # one run: eval makes no randomization test, reads no n_perm
+        assert main(["score", *common, "--k", "5", "--preset", "tagrel-visa", "--out", str(run)]) == 0
+        return {
+            "synth": [],
+            "score": [*common, "--preset", "tagrel-visa"],
+            "learn": [*common, "--qrels", str(data / "qrels.tsv")],
+            "eval": ["--qrels", str(data / "qrels.tsv"), str(run)],
+        }
 
     @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--scheme", "early", "--pairs", "0"], "n_pairs must be >= 1"),
-            (["--delta0", "0"], "delta0 > 0, tol > 0, steps >= 1 required"),
-            (["--tol", "nan"], "tol must be finite"),
-            (["--growth", "1"], "growth must exceed 1"),
-        ],
+        "command, key, value, skip, message", RANGED_CASES, ids=[f"{c[0]}-{c[1]}" for c in RANGED_CASES]
     )
-    def test_learn_flag_out_of_range(self, files, tmp_path, capsys, flags, message):
-        data, common = files
-        out = tmp_path / "learned"
+    def test_flag_and_config_line_refused_alike(
+        self, world, tmp_path, capsys, command, key, value, skip, message
+    ):
         capsys.readouterr()
-        argv = ["learn", *common, "--qrels", str(data / "qrels.tsv"), "--out", str(out), *flags]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"# comment\n{key} = {value}\n")
+        out = tmp_path / "o"
+        argv = [command, *world[command], *skip, "--out", str(out)]
+        if key != "k" and command in ("score", "learn"):
+            argv += ["--k", "5"]
+        flag = "--" + key.replace("_", "-")
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {key} {message}\n"
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {key}: {message}\n"
         assert not out.exists()
 
-    def test_eval_n_perm_flag_out_of_range(self, files, tmp_path, capsys):
-        data, common = files
-        runs = [tmp_path / f"{p}.run" for p in ("tagrel-visa", "tagrel-visb")]
-        for run in runs:
-            assert main(["score", *common, "--preset", run.stem, "--out", str(run)]) == 0
-        report = tmp_path / "report.txt"
-        capsys.readouterr()
-        argv = ["eval", "--qrels", str(data / "qrels.tsv"), "--n-perm", "0", "--out", str(report)]
-        assert main([*argv, *map(str, runs)]) == 2
-        assert capsys.readouterr().err == "error: n_perm must be >= 1\n"
-        assert not report.exists()
+    def test_cases_cover_every_ranged_key(self):
+        ranged = {
+            (command, key)
+            for command, (_, _, options, _) in COMMANDS.items()
+            for key, (convert, _) in (options or {}).items()
+            if convert not in (str, int, _csv, _bool)
+        }
+        assert {(c[0], c[1]) for c in RANGED_CASES} == ranged
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("synth", "out"),
+            ("score", "tags"), ("score", "features"), ("score", "out"), ("score", "preset"),
+            ("learn", "tags"), ("learn", "features"), ("learn", "out"), ("learn", "qrels"),
+            ("eval", "qrels"),
+        ],
+    )
+    def test_missing_or_empty_required_key_is_named(self, tmp_path, capsys, command, key):
+        required = {
+            k for k, (_, default) in COMMANDS[command][2].items() if default is REQUIRED
+        }
+        argv = [command, "one.run"] if command == "eval" else [command]
+        for other in sorted(required - {key}):
+            argv += [f"--{other}", str(tmp_path / other)]
+        for given in ([], [f"--{key}", ""]):
+            assert main([*argv, *given]) == 2
+            assert capsys.readouterr().err == f"error: {command} requires --{key}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliLearnEarlyNorm:
