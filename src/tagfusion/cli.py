@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -17,6 +18,7 @@ from .collection import (
     SyntheticConfig,
     SyntheticFeature,
     _read_lines,
+    _write_records,
     generate_collection,
     load_collection,
     save_collection,
@@ -77,9 +79,17 @@ def _choice(*values: str) -> Callable[[str], str]:
     return one_of
 
 
+def _number(kind: type, value: str) -> int | float:
+    try:
+        return kind(value)
+    except ValueError:
+        kind_name = "an integer" if kind is int else "a number"
+        raise ValueError(f"must be {kind_name}, got {value!r}") from None
+
+
 def _at_least(bound: int) -> Callable[[str], int]:
     def at_least(value: str) -> int:
-        number = int(value)
+        number = _number(int, value)
         if number < bound:
             raise ValueError(f"must be >= {bound}, got {number}")
         return number
@@ -89,7 +99,7 @@ def _at_least(bound: int) -> Callable[[str], int]:
 
 def _finite_above(bound: float) -> Callable[[str], float]:
     def above(value: str) -> float:
-        number = float(value)
+        number = _number(float, value)
         if not (math.isfinite(number) and number > bound):
             raise ValueError(f"must be finite and > {bound:g}, got {number!r}")
         return number
@@ -98,7 +108,7 @@ def _finite_above(bound: float) -> Callable[[str], float]:
 
 
 def _fraction(value: str) -> float:
-    number = float(value)
+    number = _number(float, value)
     if not 0.0 <= number <= 1.0:
         raise ValueError(f"must be in [0, 1], got {number!r}")
     return number
@@ -156,7 +166,7 @@ def _resolve(args: argparse.Namespace, options: dict[str, Opt]) -> dict[str, obj
             resolved[key] = default
             continue
         try:
-            resolved[key] = convert(value)
+            resolved[key] = _number(int, value) if convert is int else convert(value)
         except ValueError as exc:
             raise CliError(f"{where} {exc}") from None
     for key, (_, default) in options.items():
@@ -299,7 +309,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     settings = _settings_from(opts, tuple(collection.features))
     run = score_preset(collection, str(opts["preset"]), settings, run_id=opts["run_id"] or None)
     out = Path(str(opts["out"]))
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_run(out, run)
     print(f"wrote run {run.run_id!r} ({len(run.rankings)} tags) to {out}")
     return 0
@@ -328,11 +337,6 @@ LEARN_OPTIONS: dict[str, Opt] = {
 }
 
 
-def _log_lines(header: str, moves) -> list[str]:
-    """`header`, then one learn.log line per (step, coordinate, weight, objective) move."""
-    return [header] + [f"{s}\t{c}\t{w!r}\t{o!r}" for s, c, w, o in moves]
-
-
 def cmd_learn(args: argparse.Namespace) -> int:
     opts = _resolve(args, LEARN_OPTIONS)
     if opts["scheme"] == "early" and opts["norm"] != "minmax":
@@ -345,7 +349,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     feature_names = tuple(collection.features)
     settings = _settings_from(opts, feature_names)
     out = Path(str(opts["out"]))
-    log_lines: list[str] = []
+    log_rows: list[tuple] = []  # learn.log: a '# global' or '# concept' line, then its moves
     pc = None  # per-concept result, when asked for
 
     if opts["scheme"] == "late":
@@ -364,7 +368,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         if not tables:
             raise CliError("no training concept labels any image in the collection")
         result = coordinate_ascent(tables, qrels, cfg)
-        log_lines += _log_lines("# global", result.trace)
+        log_rows += [("# global",), *result.trace]
         if opts["per_concept"]:
             pc = learn_per_concept(
                 tables, qrels, cfg,
@@ -372,7 +376,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 global_weights=result.weights,
             )
             for tag in sorted(pc.traces):
-                log_lines += _log_lines(f"# concept {tag}", pc.traces[tag])
+                log_rows += [(f"# concept {tag}",), *pc.traces[tag]]
     else:
         normalizers = early_normalizers(collection, settings, "minmax")
         rows, labels = _label_matrix(qrels, collection)
@@ -380,11 +384,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
             collection, rows, labels, feature_names, normalizers,
             int(opts["pairs"]), derive_seed(int(opts["seed"]), "pairs"),
         )
-        log_lines += _log_lines("# global", (
+        log_rows += [("# global",)] + [
             (it, name, w, result.trace[it])
             for it, wvec in enumerate(result.weight_trace, start=1)
             for name, w in zip(feature_names, wvec)
-        ))
+        ]
         if opts["per_concept"]:
             pc = learn_distance_weights_per_concept(
                 collection, qrels.tags(), rows, labels, feature_names, normalizers,
@@ -395,12 +399,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
             )
 
     # nothing is written until every step has succeeded
-    out.mkdir(parents=True, exist_ok=True)
     write_weights(out / "weights-global.tsv", result.weights)
     if pc is not None:
         write_concept_weights(out / "weights-concepts.tsv", pc.per_concept, pc.fallbacks)
-    with open(out / "learn.log", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
+    _write_records(out / "learn.log", (map(str, row) for row in log_rows))
     print(f"wrote learned weights to {out}")
     return 0
 
@@ -485,9 +487,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """`argv` with `--key -1e-6` (or `-inf`, ...) written as `--key=-1e-6`: argparse
+    would read such a value as an option, and the key's converter should judge it."""
+    glued: list[str] = []
+    for token in argv:
+        option = glued and re.fullmatch(r"--[\w-]+", glued[-1])
+        if option and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    return glued
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(_glue_negative_values(argv))
     try:
         return int(args.func(args))
     except (CliError, ValueError, KeyError, OSError) as exc:

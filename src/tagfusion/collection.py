@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,9 +22,9 @@ class CollectionError(ValueError):
 
 
 def normalize_tag(raw: str) -> str:
-    """Canonical tag token: lowercase, ASCII-folded, no surrounding space."""
+    """Canonical tag token: lowercase, ASCII-folded, no surrounding space or leading '#'."""
     folded = unicodedata.normalize("NFKD", raw).encode("ascii", "ignore").decode("ascii")
-    return folded.strip().lower()
+    return re.sub(r"^[\s#]+|\s+\Z", "", folded).lower()
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,34 @@ def _read_lines(path: Path) -> list[tuple[int, str]]:
         raise ValueError(f"{path}:{no}: not valid UTF-8") from None
 
 
+def _records(
+    path: Path, width: int, shape: str | None = None,
+    error: type[ValueError] = ValueError, comments: list[str] | None = None,
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each line that is neither blank nor a '#' comment (comment
+    lines go to `comments`, if given); a line without `width` tab-separated fields raises
+    `error`, "path:line: expected <shape>" or, without `shape`, the counts."""
+    for no, line in _read_lines(path):
+        if line.startswith("#") and comments is not None:
+            comments.append(line)
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            expected = shape or f"{width} tab-separated fields, got {len(fields)}"
+            raise error(f"{path}:{no}: expected {expected}")
+        yield no, fields
+
+
+def _write_records(path: str | Path, rows: Iterable[Iterable[str]], header: str = "") -> None:
+    """Write `header`, then each row's fields joined by tabs on one line (give
+    floats as their repr, which reads back bit for bit); creates the directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
 _BLOCK_ROWS = 256  # feature rows converted to float64 per numpy assignment
 
 
@@ -199,15 +227,7 @@ def load_collection(tags_path: str | Path, feature_paths: Iterable[str | Path]) 
     fold = lru_cache(maxsize=None)(normalize_tag)  # each distinct raw token once
     records: list[ImageRecord] = []
     seen: set[str] = set()
-    for no, line in _read_lines(tags_path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CollectionError(
-                f"{tags_path}:{no}: expected 3 tab-separated fields, got {len(parts)}"
-            )
-        image_id, user_id, tag_field = parts
+    for no, (image_id, user_id, tag_field) in _records(tags_path, 3, error=CollectionError):
         tags = tuple(map(fold, filter(None, tag_field.split(" "))))
         if "" in tags:
             raise CollectionError(
@@ -329,42 +349,38 @@ def save_collection(
     Raises CollectionError naming the image, before creating or writing
     anything, when `load_collection` would read a record back differently
     or not at all:
-    an id that starts with '#' (a comment line), an id, user or tag holding
-    a tab, CR or LF, or a tag that is empty, holds a space or is not already
-    folded (lowercase ASCII, as `normalize_tag` leaves it). A feature name
-    holding a tab, CR or LF is refused the same way, naming the feature.
+    an id that starts with '#' or U+FEFF (read as a comment or a byte-order
+    mark), a record of only whitespace (a blank line), an id, user or tag
+    holding a tab, CR or LF, or a tag that is empty, holds a space or is not
+    already folded (lowercase ASCII, as `normalize_tag` leaves it). A feature
+    name holding a tab, CR or LF is refused the same way, naming the feature.
     """
     for name in feature_paths:
         if _FIELD_BREAK.search(name):
             raise CollectionError(f"cannot save feature {name!r}: its name holds a tab, CR or LF")
     tags = {t for rec in c.images for t in rec.tags}
     unsaveable = {t for t in tags if not t or " " in t or normalize_tag(t) != t}
-    lines = []
+    rows = []
     for rec in c.images:
         tag_field = " ".join(rec.tags)
-        if rec.image_id.startswith("#") or _FIELD_BREAK.search(
-            f"{rec.image_id}{rec.user_id}{tag_field}"
-        ):
+        text = f"{rec.image_id}{rec.user_id}{tag_field}"
+        if text.startswith(("#", "\ufeff")) or not text.strip() or _FIELD_BREAK.search(text):
             raise CollectionError(
-                f"cannot save image {rec.image_id!r}: its id starts with '#', or its id, "
-                "user or tags hold a tab, CR or LF"
+                f"cannot save image {rec.image_id!r}: its id starts with '#' or a byte-order "
+                "mark, its line would be blank, or its id, user or tags hold a tab, CR or LF"
             )
         if not unsaveable.isdisjoint(rec.tags):
             raise CollectionError(
                 f"cannot save image {rec.image_id!r}: a tag is empty, holds a space "
                 "or is not folded to lowercase ASCII"
             )
-        lines.append(f"{rec.image_id}\t{rec.user_id}\t{tag_field}\n")
-    for path in (tags_path, *feature_paths.values()):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(tags_path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        rows.append((rec.image_id, rec.user_id, tag_field))
+    _write_records(tags_path, rows)
     for name, path in feature_paths.items():
         fm = c.feature(name)
-        with open(Path(path), "w", encoding="utf-8") as fh:
-            fh.write(f"#feature\t{fm.name}\t{fm.dim}\n")
-            for rec, row in zip(c.images, fm.matrix):  # a whole-matrix tolist() costs memory
-                fh.write(f"{rec.image_id}\t{','.join(map(repr, row.tolist()))}\n")
+        # row by row: a whole-matrix tolist() costs memory
+        vecs = ((r.image_id, ",".join(map(repr, v.tolist()))) for r, v in zip(c.images, fm.matrix))
+        _write_records(path, vecs, f"#feature\t{fm.name}\t{fm.dim}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .collection import _read_lines
+from .collection import _records, _write_records
 from .estimators import ScoreTable
 
 EXACT_FLIP_LIMIT = 20
@@ -280,13 +280,8 @@ class Qrels:
 def read_qrels(path: str | Path) -> Qrels:
     path = Path(path)
     q = Qrels()
-    for no, line in _read_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise EvalFormatError(f"{path}:{no}: expected 'tag<TAB>image_id<TAB>rel'")
-        tag, image_id, rel_s = parts
+    shape = "'tag<TAB>image_id<TAB>rel'"
+    for no, (tag, image_id, rel_s) in _records(path, 3, shape, EvalFormatError):
         if rel_s not in ("0", "1"):
             raise EvalFormatError(f"{path}:{no}: relevance must be 0 or 1")
         if image_id in q.judgments.get(tag, {}):
@@ -296,10 +291,11 @@ def read_qrels(path: str | Path) -> Qrels:
 
 
 def write_qrels(path: str | Path, q: Qrels) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for tag in sorted(q.judgments):
-            for image_id in sorted(q.judgments[tag]):
-                fh.write(f"{tag}\t{image_id}\t{q.judgments[tag][image_id]}\n")
+    _write_records(path, (
+        (tag, image_id, str(rel))
+        for tag, judged in sorted(q.judgments.items())
+        for image_id, rel in sorted(judged.items())
+    ))
 
 
 @dataclass
@@ -327,10 +323,11 @@ def run_from_tables(run_id: str, tables: Iterable[ScoreTable]) -> RunFile:
 
 
 def write_run(path: str | Path, run: RunFile) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for tag in sorted(run.rankings):
-            for rank, (image_id, score) in enumerate(run.rankings[tag], start=1):
-                fh.write(f"{tag}\t{image_id}\t{rank}\t{score!r}\t{run.run_id}\n")
+    _write_records(path, (
+        (tag, image_id, str(rank), repr(score), run.run_id)
+        for tag in sorted(run.rankings)
+        for rank, (image_id, score) in enumerate(run.rankings[tag], start=1)
+    ))
 
 
 def read_run(path: str | Path) -> RunFile:
@@ -338,15 +335,7 @@ def read_run(path: str | Path) -> RunFile:
     run_id: str | None = None
     rankings: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    for no, line in _read_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise EvalFormatError(
-                f"{path}:{no}: expected 5 tab-separated fields, got {len(parts)}"
-            )
-        tag, image_id, rank_s, score_s, rid = parts
+    for no, (tag, image_id, rank_s, score_s, rid) in _records(path, 5, error=EvalFormatError):
         if run_id is None:
             run_id = rid
         elif rid != run_id:
@@ -464,18 +453,12 @@ def render_report(
             for j in range(i + 1, len(evals)):
                 a, b = evals[i], evals[j]
                 concepts = sorted(set(a.per_concept) | set(b.per_concept))
-                if len(concepts) < 2:
-                    lines.append(f"p\tAP\t{a.run_id}\t{b.run_id}\tn/a")
-                    lines.append(f"p\tNDCG\t{a.run_id}\t{b.run_id}\tn/a")
-                    continue
-                score_a = [a.per_concept.get(t, (0.0, 0.0)) for t in concepts]
-                score_b = [b.per_concept.get(t, (0.0, 0.0)) for t in concepts]
-                p_ap = randomization_test(
-                    [s[0] for s in score_a], [s[0] for s in score_b], n_perm=n_perm, seed=seed
-                )
-                p_nd = randomization_test(
-                    [s[1] for s in score_a], [s[1] for s in score_b], n_perm=n_perm, seed=seed
-                )
-                lines.append(f"p\tAP\t{a.run_id}\t{b.run_id}\t{p_ap:.6g}")
-                lines.append(f"p\tNDCG\t{a.run_id}\t{b.run_id}\t{p_nd:.6g}")
+                for m, metric in enumerate(("AP", "NDCG")):
+                    p = "n/a"
+                    if len(concepts) >= 2:
+                        xs, ys = (
+                            [e.per_concept.get(t, (0.0, 0.0))[m] for t in concepts] for e in (a, b)
+                        )
+                        p = f"{randomization_test(xs, ys, n_perm=n_perm, seed=seed):.6g}"
+                    lines.append(f"p\t{metric}\t{a.run_id}\t{b.run_id}\t{p}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .collection import Collection, _read_lines, tag_prior
+from .collection import Collection, _records, _write_records, tag_prior
 from .estimators import ScoreTable
 from .neighbors import WeightVector
 
@@ -240,10 +240,7 @@ def _parse_weight(text: str, path: Path, no: int) -> float:
 
 
 def write_weights(path: str | Path, wv: WeightVector) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        fh.write("# global\n")
-        for name, w in zip(wv.names, wv.weights):
-            fh.write(f"{name}\t{w!r}\n")
+    _write_records(path, zip(wv.names, map(repr, wv.weights)), "# global\n")
 
 
 def _normalized(names: list[str], weights: list[float], where: str) -> WeightVector:
@@ -257,14 +254,9 @@ def read_weights(path: str | Path) -> WeightVector:
     path = Path(path)
     names: list[str] = []
     weights: list[float] = []
-    for no, line in _read_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{no}: expected 'name<TAB>weight'")
-        names.append(parts[0])
-        weights.append(_parse_weight(parts[1], path, no))
+    for no, (name, w) in _records(path, 2, "'name<TAB>weight'"):
+        names.append(name)
+        weights.append(_parse_weight(w, path, no))
     if not names:
         raise ValueError(f"{path}: no weights found")
     return _normalized(names, weights, str(path))
@@ -275,37 +267,26 @@ def write_concept_weights(
     per_concept: Mapping[str, WeightVector],
     fallbacks: Iterable[str] = (),
 ) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for tag in sorted(fallbacks):
-            fh.write(f"# fallback: {tag}\n")
-        for tag in sorted(per_concept):
-            wv = per_concept[tag]
-            for name, w in zip(wv.names, wv.weights):
-                fh.write(f"{tag}\t{name}\t{w!r}\n")
+    rows = (
+        (tag, name, repr(w))
+        for tag, wv in sorted(per_concept.items())
+        for name, w in zip(wv.names, wv.weights)
+    )
+    _write_records(path, rows, "".join(f"# fallback: {tag}\n" for tag in sorted(fallbacks)))
 
 
 def read_concept_weights(path: str | Path) -> tuple[dict[str, WeightVector], frozenset[str]]:
     path = Path(path)
     raw: dict[str, tuple[int, list[str], list[float]]] = {}  # tag -> first line, names, weights
-    fallbacks: set[str] = set()
-    for no, line in _read_lines(path):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            marker = line[1:].strip()
-            if marker.startswith("fallback:"):
-                fallbacks.add(marker.split(":", 1)[1].strip())
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{no}: expected 'tag<TAB>name<TAB>weight'")
-        tag, name, w = parts
+    comments: list[str] = []
+    for no, (tag, name, w) in _records(path, 3, "'tag<TAB>name<TAB>weight'", comments=comments):
         _, names, weights = raw.setdefault(tag, (no, [], []))
         names.append(name)
         weights.append(_parse_weight(w, path, no))
     if not raw:
         raise ValueError(f"{path}: no weights found")
+    markers = (line[1:].strip() for line in comments)
     return (
         {t: _normalized(n, w, f"{path}:{no}: tag {t!r}") for t, (no, n, w) in raw.items()},
-        frozenset(fallbacks),
+        frozenset(m.split(":", 1)[1].strip() for m in markers if m.startswith("fallback:")),
     )

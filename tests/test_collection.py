@@ -142,10 +142,26 @@ class TestLoad:
         c = load_collection(tags, [])
         assert c.images[0].tags == ()
 
+    def test_hashtags_load_as_their_word(self, tmp_path):
+        tags = write(tmp_path / "tags.tsv", "x1\tu1\t#Sky sea\nx2\tu2\t##sea c#\n")
+        c = load_collection(tags, [])
+        assert [r.tags for r in c.images] == [("sky", "sea"), ("sea", "c#")]
+
+    def test_tag_of_only_hashes_is_refused(self, tmp_path):
+        tags = write(tmp_path / "tags.tsv", "x1\tu1\tsky\nx2\tu2\tsea ##\n")
+        with pytest.raises(
+            CollectionError, match=f"^{re.escape(str(tags))}:2: tag folds to empty token on image 'x2'$"
+        ):
+            load_collection(tags, [])
+
 
 def test_normalize_tag():
     assert normalize_tag("Sky") == "sky"
     assert normalize_tag("CAFÉ") == "cafe"
+    assert normalize_tag("#Sky") == "sky"
+    assert normalize_tag("# #sky ") == normalize_tag("sky")
+    assert normalize_tag("c#") == "c#"
+    assert normalize_tag("#") == ""
 
 
 class TestIndexOps:
@@ -297,6 +313,9 @@ class TestRoundTrip:
             ("x1", "u\r", ("sky",), "tab, CR or LF"),
             ("x1", "u", ("sky", "se\na"), "tab, CR or LF"),
             ("#x1", "u", ("sky",), "starts with '#'"),
+            ("\ufeffx1", "u", ("sky",), "byte-order mark"),
+            (" ", "\u3000", (), "blank"),
+            ("x1", "u", ("#sky",), "a tag is empty, holds a space or is not folded"),
             ("x1", "u", ("sky blue",), "a tag is empty, holds a space or is not folded"),
             ("x1", "u", ("sky", ""), "a tag is empty, holds a space or is not folded"),
             ("x1", "u", ("Sky",), "a tag is empty, holds a space or is not folded"),

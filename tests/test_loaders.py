@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagfusion.cli import main, read_config_file
-from tagfusion.collection import CollectionError, load_collection
-from tagfusion.evalkit import read_qrels, read_run
-from tagfusion.fusion import read_concept_weights, read_weights
+from tagfusion.collection import CollectionError, load_collection, normalize_tag, save_collection
+from tagfusion.evalkit import Qrels, RunFile, read_qrels, read_run, write_qrels, write_run
+from tagfusion.fusion import (
+    read_concept_weights, read_weights, write_concept_weights, write_weights,
+)
+from tagfusion.neighbors import WeightVector
 
+from conftest import make_collection
 from oracles import load_collection_by_line
 
 TAGS = b"x1\tu1\tsky sea\n# a comment\nx2\tu2\tsky\nx3\tu1\t\n"
@@ -245,3 +249,97 @@ def test_fault_at_block_edges_matches_line_by_line_reference(tmp_path, bad_row, 
     assert got == load_or_error(load_collection_by_line, tags, [feats])
     assert got[0] is CollectionError
     assert got[1].startswith(f"{feats}:{min(bad_row, (bad_row + 300) % n) + 2}: ")
+
+
+# --- each writer against its reader -------------------------------------------
+
+# field text as the formats allow it: any character but a tab, CR or LF,
+# so '#', spaces and non-ASCII letters and digits too
+CHAR = st.sampled_from(["#", " ", "é", "٣", "x"]) | st.characters(
+    exclude_characters="\t\r\n", exclude_categories=("Cs",)
+)
+FIELD = st.text(CHAR, min_size=1, max_size=6)
+# a line's first field: not a '#' comment, a byte-order mark or only space
+FIRST = FIELD.filter(lambda s: s.strip() and not s.startswith(("#", "\ufeff")))
+# tags as `load_collection` yields them, so '#sky' appears as 'sky'
+TAG = (
+    st.text(CHAR.filter(lambda c: c != " "), min_size=1, max_size=6)
+    .map(normalize_tag)
+    .filter(lambda t: t and " " not in t)
+)
+SCORE = st.floats(-1e300, 1e300)
+
+
+def named_weights(name):
+    """WeightVectors of 1-3 (name, weight) pairs, not all weights 0."""
+    pairs = st.lists(st.tuples(name, st.floats(0, 1e300)), min_size=1, max_size=3)
+    return pairs.filter(lambda p: any(w for _, w in p)).map(
+        lambda p: WeightVector.normalized(*zip(*p))
+    )
+
+
+def _roundtrip_path(tmp_path_factory, name):
+    folder = tmp_path_factory.getbasetemp() / "roundtrip"
+    folder.mkdir(exist_ok=True)
+    return folder / name
+
+
+@settings(max_examples=60)
+@given(
+    records=st.lists(
+        st.tuples(FIRST, FIELD | st.just(""), st.lists(TAG, max_size=3, unique=True)),
+        min_size=1, max_size=4, unique_by=lambda r: r[0],
+    ),
+    feature=st.tuples(FIELD, st.integers(1, 3)),
+    data=st.data(),
+)
+def test_collection_reads_back_as_written(tmp_path_factory, records, feature, data):
+    name, dim = feature
+    row = st.lists(SCORE, min_size=dim, max_size=dim)
+    rows = data.draw(st.lists(row, min_size=len(records), max_size=len(records)))
+    c = make_collection(records, {name: rows})
+    tags = _roundtrip_path(tmp_path_factory, "tags.tsv")
+    feats = _roundtrip_path(tmp_path_factory, "f.tsv")
+    save_collection(c, tags, {name: feats})
+    assert load_collection(tags, [feats]) == c
+
+
+@settings(max_examples=60)
+@given(st.dictionaries(TAG, st.dictionaries(FIELD, st.sampled_from([0, 1]), min_size=1), max_size=3))
+def test_qrels_read_back_as_written(tmp_path_factory, judgments):
+    path = _roundtrip_path(tmp_path_factory, "qrels.tsv")
+    write_qrels(path, Qrels(judgments))
+    assert read_qrels(path) == Qrels(judgments)
+
+
+@settings(max_examples=60)
+@given(
+    st.dictionaries(TAG, st.dictionaries(FIELD, SCORE, min_size=1), min_size=1, max_size=3),
+    FIELD,
+)
+def test_run_reads_back_as_written(tmp_path_factory, scores, run_id):
+    # ranked as a run must be: descending score, ties by ascending image id
+    rankings = {t: tuple(sorted(s.items(), key=lambda e: (-e[1], e[0]))) for t, s in scores.items()}
+    path = _roundtrip_path(tmp_path_factory, "r.run")
+    write_run(path, RunFile(run_id, rankings))
+    assert read_run(path) == RunFile(run_id, rankings)
+
+
+@settings(max_examples=60)
+@given(named_weights(FIELD.filter(lambda s: not s.startswith("#"))))
+def test_weights_read_back_as_written(tmp_path_factory, wv):
+    path = _roundtrip_path(tmp_path_factory, "w.tsv")
+    write_weights(path, wv)
+    # the reader normalizes what it reads: the written floats, bit for bit
+    assert read_weights(path) == WeightVector.normalized(wv.names, wv.weights)
+
+
+@settings(max_examples=60)
+@given(st.dictionaries(TAG, named_weights(FIELD), min_size=1, max_size=3), st.sets(TAG, max_size=3))
+def test_concept_weights_read_back_as_written(tmp_path_factory, per_concept, fallbacks):
+    path = _roundtrip_path(tmp_path_factory, "cw.tsv")
+    write_concept_weights(path, per_concept, fallbacks)
+    assert read_concept_weights(path) == (
+        {t: WeightVector.normalized(wv.names, wv.weights) for t, wv in per_concept.items()},
+        frozenset(fallbacks),
+    )

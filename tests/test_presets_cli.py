@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -611,7 +612,7 @@ class TestCliMisc:
     @pytest.mark.parametrize(
         "config, tags_text, message",
         [
-            ("preset = tagrel-visa\nk = abc\n", None, "{cfg}:2: k: invalid literal for int()"),
+            ("preset = tagrel-visa\nk = abc\n", None, "{cfg}:2: k: must be an integer, got 'abc'"),
             ("# comment\nbogus = 1\n", None, "{cfg}:2: unknown config key 'bogus'"),
             ("", "a\tu\tsky\nb\tu\tsea\na\tu\tsun\n", "{tags}:3: duplicate image_id 'a'"),
         ],
@@ -630,6 +631,27 @@ class TestCliMisc:
         ])
         assert code == 2
         assert message.format(cfg=cfg, tags=tags) in capsys.readouterr().err
+
+
+def test_hashtag_concept_is_scored_and_evaluated(tmp_path, capsys):
+    # '#sky' loads as 'sky', so its run lines are records and not comments
+    tags = tmp_path / "tags.tsv"
+    tags.write_text("".join(f"x{i:02d}\tu{i % 3}\t{'#Sky' if i < 10 else 'sea'}\n" for i in range(30)))
+    feats = tmp_path / "visa.tsv"
+    feats.write_text("#feature\tvisa\t1\n" + "".join(f"x{i:02d}\t{i // 10}.{i}\n" for i in range(30)))
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("".join(f"sea\tx{i:02d}\t1\n" for i in range(10, 30)))
+    run = tmp_path / "r.run"
+    assert main([
+        "score", "--tags", str(tags), "--features", str(feats), "--preset", "tagrel-visa",
+        "--k", "5", "--out", str(run),
+    ]) == 0
+    assert sum(line.startswith("sky\t") for line in run.read_text().splitlines()) == 10
+    capsys.readouterr()
+    assert main(["eval", "--qrels", str(qrels), str(run)]) == 0
+    report = capsys.readouterr().out
+    assert re.search(r"^sky\t0\.000000\t0\.000000\t\[unjudged\]$", report, re.M), report
+    assert re.search(r"^sea\t", report, re.M)
 
 
 # the option strings each subcommand's --help lists; none may be added or dropped
@@ -796,6 +818,23 @@ RANGED_CASES = [
     ("eval", "cutoff", "0", [], "must be >= 1, got 0"),
     ("eval", "n_perm", "0", [], "must be >= 1, got 0"),
 ]
+# values argparse would take for an option string after the flag, and
+# values that are not numbers at all, for ranged and unranged keys
+VALUE_CASES = [
+    ("learn", "tol", "-1e-6", ["--scheme", "early"], "must be finite and > 0, got -1e-06"),
+    ("learn", "tol", "-inf", ["--scheme", "early"], "must be finite and > 0, got -inf"),
+    ("learn", "delta0", "-1.", ["--scheme", "early"], "must be finite and > 0, got -1.0"),
+    ("synth", "cluster_spread", "-1E-3", [], "must be finite and > 0, got -0.001"),
+    ("synth", "images", "abc", [], "must be an integer, got 'abc'"),
+    ("synth", "seed", "1.5", [], "must be an integer, got '1.5'"),
+    ("synth", "q_correct", "half", [], "must be a number, got 'half'"),
+    ("learn", "growth", "2x", ["--scheme", "early"], "must be a number, got '2x'"),
+    ("score", "min_count", "abc", [], "must be an integer, got 'abc'"),
+    ("score", "seed", "-1e3", [], "must be an integer, got '-1e3'"),
+    ("learn", "min_pos", "two", [], "must be an integer, got 'two'"),
+    ("learn", "seed", "x", [], "must be an integer, got 'x'"),
+    ("eval", "seed", "1e9", [], "must be an integer, got '1e9'"),
+]
 
 
 class TestCliNumericFlags:
@@ -824,7 +863,9 @@ class TestCliNumericFlags:
         }
 
     @pytest.mark.parametrize(
-        "command, key, value, skip, message", RANGED_CASES, ids=[f"{c[0]}-{c[1]}" for c in RANGED_CASES]
+        "command, key, value, skip, message",
+        RANGED_CASES + VALUE_CASES,
+        ids=[f"{c[0]}-{c[1]}" for c in RANGED_CASES] + [f"{c[0]}-{c[1]}={c[2]}" for c in VALUE_CASES],
     )
     def test_flag_and_config_line_refused_alike(
         self, world, tmp_path, capsys, command, key, value, skip, message
@@ -837,11 +878,28 @@ class TestCliNumericFlags:
         if key != "k" and command in ("score", "learn"):
             argv += ["--k", "5"]
         flag = "--" + key.replace("_", "-")
-        assert main([*argv, flag, value]) == 2
-        assert capsys.readouterr().err == f"error: {key} {message}\n"
+        for given in ([flag, value], [f"{flag}={value}"]):
+            assert main([*argv, *given]) == 2
+            assert capsys.readouterr().err == f"error: {key} {message}\n"
         assert main([*argv, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:2: {key}: {message}\n"
         assert not out.exists()
+
+    def test_every_numeric_key_names_a_value_that_is_not_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        checked = 0
+        for command, (_, _, options, _) in COMMANDS.items():
+            for key, (_, default) in (options or {}).items():
+                if type(default) not in (int, float):  # bool, str, list, None, REQUIRED
+                    continue
+                message = f"must be {'an integer' if type(default) is int else 'a number'}, got 'n/a'"
+                assert main([command, f"--{key.replace('_', '-')}", "n/a"]) == 2
+                assert capsys.readouterr().err == f"error: {key} {message}\n"
+                cfg.write_text(f"{key} = n/a\n")
+                assert main([command, "--config", str(cfg)]) == 2
+                assert capsys.readouterr().err == f"error: {cfg}:1: {key}: {message}\n"
+                checked += 1
+        assert checked == 29
 
     def test_cases_cover_every_ranged_key(self):
         ranged = {
