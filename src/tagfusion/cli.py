@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .collection import (
+    _FIELD_BREAK,
     SyntheticConfig,
     SyntheticFeature,
     _read_lines,
@@ -43,6 +44,7 @@ from .presets import (
     NORMS,
     SCHEMES,
     ScoreSettings,
+    _parse_estimator,
     available_presets,
     build_training_tables,
     derive_seed,
@@ -119,6 +121,36 @@ _metric = _choice("ap", "ndcg")
 _positive = _finite_above(0.0)
 _above_one = _finite_above(1.0)
 
+
+def _synth_features(value: str) -> dict[str, int]:
+    """`name:dim,...` -> {name: dim} in order: at least one name, each once, each dim >= 1."""
+    dims: dict[str, int] = {}
+    for spec in _csv(value):
+        name, colon, dim = spec.partition(":")
+        try:
+            if not (name and colon) or name in dims:
+                raise ValueError(f"name {name!r} repeats" if name in dims else "must be name:dim")
+            dims[name] = _at_least_one(dim)
+        except ValueError as exc:
+            raise ValueError(f"spec {spec!r}: {exc}") from None
+    if not dims:
+        raise ValueError("must list at least one name:dim")
+    return dims
+
+
+def _estimators(value: str) -> list[str]:
+    specs = _csv(value)
+    for spec in specs:
+        _parse_estimator(spec)  # the one spec grammar: refuses an unknown spec
+    return specs
+
+
+def _run_id(value: str) -> str:
+    if _FIELD_BREAK.search(value):
+        raise ValueError(f"must not hold a tab, CR or LF, got {value!r}")
+    return value
+
+
 # the default of a key its command cannot run without
 REQUIRED = object()
 
@@ -147,28 +179,25 @@ def read_config_file(path: str | Path) -> dict[str, tuple[int, str]]:
 
 
 def _resolve(args: argparse.Namespace, options: dict[str, Opt]) -> dict[str, object]:
-    """Each key's value: its flag, else its config line, both converted by
-    the key's converter, else its default. Raises CliError on a bad value,
-    then on a required key left missing or empty."""
+    """Each key's value: its flag, else its config line, else its default,
+    converted by the key's converter when it is text. Raises CliError on a
+    bad value, then on a required key left missing or empty."""
     config = read_config_file(args.config) if args.config else {}
     for key, (no, _) in config.items():
         if key not in options:
             raise CliError(f"{args.config}:{no}: unknown config key {key!r}")
     resolved: dict[str, object] = {}
     for key, (convert, default) in options.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            value, where = flag_value, key
-        elif key in config:
-            no, value = config[key]
-            where = f"{args.config}:{no}: {key}:"
-        else:
-            resolved[key] = default
-            continue
-        try:
-            resolved[key] = _number(int, value) if convert is int else convert(value)
-        except ValueError as exc:
-            raise CliError(f"{where} {exc}") from None
+        no, value = None, getattr(args, key)
+        if value is None:  # no flag: the config line, else the default
+            no, value = config.get(key, (None, default))
+        if isinstance(value, str):  # a default of None, REQUIRED or a number is kept
+            try:
+                value = _number(int, value) if convert is int else convert(value)
+            except ValueError as exc:
+                where = key if no is None else f"{args.config}:{no}: {key}:"
+                raise CliError(f"{where} {exc}") from None
+        resolved[key] = value
     for key, (_, default) in options.items():
         if default is REQUIRED and resolved[key] in (REQUIRED, "", []):
             raise CliError(f"{args.command} requires --{key.replace('_', '-')}")
@@ -195,7 +224,7 @@ SYNTH_OPTIONS: dict[str, Opt] = {
     "images": (_at_least_one, 2000),
     "tags": (_at_least_one, 20),
     "users": (_at_least_one, 50),
-    "features": (str, "visa:8,visb:8"),
+    "features": (_synth_features, "visa:8,visb:8"),
     "informativeness": (_choice("split", "all"), "split"),
     "q_correct": (_fraction, 0.9),
     "q_incorrect": (_fraction, 0.05),
@@ -204,34 +233,14 @@ SYNTH_OPTIONS: dict[str, Opt] = {
 }
 
 
-def _parse_synth_features(
-    spec: str, tag_names: list[str], informativeness: str
-) -> tuple[SyntheticFeature, ...]:
-    parts = _csv(spec)
-    if not parts:
-        raise CliError("no features given")
-    size = (len(tag_names) + len(parts) - 1) // len(parts)  # tags per feature when split
-    features: list[SyntheticFeature] = []
-    for i, p in enumerate(parts):
-        if ":" not in p:
-            raise CliError(f"feature spec {p!r} must be name:dim")
-        name, dim_s = p.split(":", 1)
-        try:
-            dim = int(dim_s)
-        except ValueError:
-            raise CliError(f"bad dim in feature spec {p!r}") from None
-        informative = None
-        if informativeness == "split":
-            informative = frozenset(tag_names[i * size : (i + 1) * size])
-        features.append(SyntheticFeature(name=name, dim=dim, informative_tags=informative))
-    return tuple(features)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     opts = _resolve(args, SYNTH_OPTIONS)
     tag_names = synthetic_tag_names(int(opts["tags"]))
-    features = _parse_synth_features(
-        str(opts["features"]), tag_names, str(opts["informativeness"])
+    size = -(-len(tag_names) // len(opts["features"]))  # tags per feature when split
+    features = tuple(
+        SyntheticFeature(name, dim, None if opts["informativeness"] == "all" else
+                         frozenset(tag_names[i * size : (i + 1) * size]))
+        for i, (name, dim) in enumerate(opts["features"].items())
     )
     cfg = SyntheticConfig(
         n_images=int(opts["images"]),
@@ -265,7 +274,7 @@ COLLECTION_OPTIONS: dict[str, Opt] = {
     "features": (_csv, REQUIRED),
     "out": (str, REQUIRED),
     "k": (_at_least_one, 500),
-    "estimators": (_csv, None),
+    "estimators": (_estimators, None),
     "kde_feature": (str, None),
     "kde_sample_cap": (_at_least_one, 500),
     "min_count": (int, 1),
@@ -276,7 +285,7 @@ COLLECTION_OPTIONS: dict[str, Opt] = {
 SCORE_OPTIONS: dict[str, Opt] = {
     **COLLECTION_OPTIONS,
     "preset": (str, REQUIRED),
-    "run_id": (str, None),
+    "run_id": (_run_id, None),
     "query_tags": (_csv, None),
     "weights": (str, None),
     "concept_weights": (str, None),

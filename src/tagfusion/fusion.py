@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .collection import Collection, _records, _write_records, tag_prior
+from .collection import _FIELD_BREAK, Collection, _records, _write_records, tag_prior
 from .estimators import ScoreTable
 from .neighbors import WeightVector
 
@@ -240,6 +240,13 @@ def _parse_weight(text: str, path: Path, no: int) -> float:
 
 
 def write_weights(path: str | Path, wv: WeightVector) -> None:
+    """Raises ValueError, before creating anything, on a name `read_weights` would
+    not read back: one that starts with '#' (a comment line) or holds a tab, CR or LF."""
+    for name in wv.names:
+        if name.startswith("#") or _FIELD_BREAK.search(name):
+            raise ValueError(
+                f"cannot write weight {name!r}: it starts with '#' or holds a tab, CR or LF"
+            )
     _write_records(path, zip(wv.names, map(repr, wv.weights)), "# global\n")
 
 

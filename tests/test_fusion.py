@@ -350,6 +350,14 @@ class TestWeightFiles:
         assert read_weights(path) == wv
         assert path.read_text().startswith("# global\n")
 
+    @pytest.mark.parametrize("name", ["#x", "# global", "a\tb", "a\rb", "a\nb"])
+    def test_name_that_would_not_read_back_is_refused(self, tmp_path, name):
+        wv = WeightVector.normalized(["ok", name], [0.5, 0.5])
+        message = f"^cannot write weight {re.escape(repr(name))}: it starts with '#' or holds a tab"
+        with pytest.raises(ValueError, match=message):
+            write_weights(tmp_path / "out" / "w.tsv", wv)
+        assert list(tmp_path.iterdir()) == []
+
     def test_read_normalizes_to_simplex(self, tmp_path):
         path = tmp_path / "w.tsv"
         path.write_text("# global\na\t2.0\nb\t6.0\n")

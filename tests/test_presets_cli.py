@@ -798,12 +798,16 @@ RANGED_CASES = [
     ("synth", "q_incorrect", "-0.5", [], "must be in [0, 1], got -0.5"),
     ("synth", "cluster_spread", "nan", [], "must be finite and > 0, got nan"),
     ("synth", "informativeness", "some", [], "must be one of split, all; got 'some'"),
+    ("synth", "features", "visa:0", [], "spec 'visa:0': must be >= 1, got 0"),
     ("score", "k", "0", [], "must be >= 1, got 0"),
+    ("score", "estimators", "tagrel:visb, bogus", [], "unknown estimator spec 'bogus'"),
+    ("score", "run_id", "a\tb", [], "must not hold a tab, CR or LF, got 'a\\tb'"),
     ("score", "kde_sample_cap", "-3", [], "must be >= 1, got -3"),
     ("score", "calib_sample_size", "0", [], "must be >= 1, got 0"),
     ("learn", "k", "0", [], "must be >= 1, got 0"),
     ("learn", "kde_sample_cap", "0", [], "must be >= 1, got 0"),
     ("learn", "calib_sample_size", "0", ["--scheme", "late"], "must be >= 1, got 0"),
+    ("learn", "estimators", "bogus", ["--scheme", "early"], "unknown estimator spec 'bogus'"),
     ("learn", "scheme", "sideways", [], "must be one of early, late; got 'sideways'"),
     ("learn", "norm", "zscore", [], "must be one of minmax, rankmax; got 'zscore'"),
     ("learn", "metric", "map", ["--scheme", "early"], "must be one of ap, ndcg; got 'map'"),
@@ -818,8 +822,9 @@ RANGED_CASES = [
     ("eval", "cutoff", "0", [], "must be >= 1, got 0"),
     ("eval", "n_perm", "0", [], "must be >= 1, got 0"),
 ]
-# values argparse would take for an option string after the flag, and
-# values that are not numbers at all, for ranged and unranged keys
+# values argparse would take for an option string after the flag, values
+# that are not numbers at all, for ranged and unranged keys, and malformed
+# lists of feature or estimator specs
 VALUE_CASES = [
     ("learn", "tol", "-1e-6", ["--scheme", "early"], "must be finite and > 0, got -1e-06"),
     ("learn", "tol", "-inf", ["--scheme", "early"], "must be finite and > 0, got -inf"),
@@ -834,6 +839,12 @@ VALUE_CASES = [
     ("learn", "min_pos", "two", [], "must be an integer, got 'two'"),
     ("learn", "seed", "x", [], "must be an integer, got 'x'"),
     ("eval", "seed", "1e9", [], "must be an integer, got '1e9'"),
+    ("synth", "features", "visa:x", [], "spec 'visa:x': must be an integer, got 'x'"),
+    ("synth", "features", "visa", [], "spec 'visa': must be name:dim"),
+    ("synth", "features", ":2", [], "spec ':2': must be name:dim"),
+    ("synth", "features", ",", [], "must list at least one name:dim"),
+    ("synth", "features", "a:2,a:3", [], "spec 'a:3': name 'a' repeats"),
+    ("learn", "estimators", "tagrel:visa,tagposition,bogus", [], "unknown estimator spec 'bogus'"),
 ]
 
 
@@ -978,6 +989,40 @@ class TestCliLearnEarlyNorm:
         assert (out / "weights-global.tsv").exists()
 
 
+class TestCliWeightNames:
+    """learn refuses, before writing anything, a weight name that its weight
+    file would read back as a comment."""
+
+    def test_hash_led_feature_name_is_refused(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--out", str(data), "--images", "60", "--tags", "3",
+            "--features", "#x:2,visb:2", "--seed", "5",
+        ]) == 0
+        files = [
+            "--tags", str(data / "tags.tsv"),
+            "--features", f"{data / '#x.tsv'},{data / 'visb.tsv'}", "--k", "5",
+        ]
+        learn = ["learn", *files, "--qrels", str(data / "qrels.tsv"), "--pairs", "50"]
+        capsys.readouterr()
+        out = tmp_path / "early"
+        assert main([*learn, "--scheme", "early", "--per-concept", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write weight '#x': it starts with '#' or holds a tab, CR or LF\n"
+        )
+        assert not out.exists()
+        # late weights are named by estimator spec, 'tagrel:#x', which reads back
+        out = tmp_path / "late"
+        assert main([*learn, "--scheme", "late", "--out", str(out)]) == 0
+        weights = out / "weights-global.tsv"
+        assert read_weights(weights).names == ("tagrel:#x", "tagrel:visb")
+        run_path = tmp_path / "late.run"
+        assert main([
+            "score", *files, "--preset", "late-minmax-learning", "--weights", str(weights),
+            "--out", str(run_path),
+        ]) == 0
+
+
 class TestChecksBeforeNeighborPasses:
     """Bad presets and estimator specs are refused before any vote pass."""
 
@@ -1009,7 +1054,7 @@ class TestChecksBeforeNeighborPasses:
         [
             (
                 "late-minmax-average", ["--estimators", "tagrel:visa,bogus"],
-                "unknown estimator spec 'bogus'",
+                "estimators unknown estimator spec 'bogus'",
             ),
             (
                 "late-rankmax-average", ["--estimators", "tagrel:visa,tagrel:nofeat"],
