@@ -52,9 +52,6 @@ from .presets import (
     score_preset,
 )
 
-DEFAULT_FEATURE_NAMES = ("color", "cslbp", "gist", "dsift")
-
-
 class CliError(ValueError):
     pass
 
@@ -122,14 +119,26 @@ _positive = _finite_above(0.0)
 _above_one = _finite_above(1.0)
 
 
+def _names(value: str) -> list[str]:
+    names = _csv(value)
+    if not names:
+        raise ValueError("must list at least one name")
+    return names
+
+
 def _synth_features(value: str) -> dict[str, int]:
-    """`name:dim,...` -> {name: dim} in order: at least one name, each once, each dim >= 1."""
+    """`name:dim,...` -> {name: dim} in order: at least one name, each once
+    and a plain file name (each is written to `<out>/<name>.tsv`), each dim >= 1."""
     dims: dict[str, int] = {}
     for spec in _csv(value):
         name, colon, dim = spec.partition(":")
         try:
-            if not (name and colon) or name in dims:
-                raise ValueError(f"name {name!r} repeats" if name in dims else "must be name:dim")
+            if not (name and colon):
+                raise ValueError("must be name:dim")
+            if name in dims:
+                raise ValueError(f"name {name!r} repeats")
+            if Path(name).name != name or name in (".", ".."):
+                raise ValueError(f"name {name!r} is not a plain file name")
             dims[name] = _at_least_one(dim)
         except ValueError as exc:
             raise ValueError(f"spec {spec!r}: {exc}") from None
@@ -455,15 +464,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+LIST_PRESETS_OPTIONS: dict[str, Opt] = {
+    "features": (_names, "color,cslbp,gist,dsift"),
+}
+
+
 def cmd_list_presets(args: argparse.Namespace) -> int:
-    features = tuple(args.features) if args.features else DEFAULT_FEATURE_NAMES
-    for name in available_presets(features):
+    opts = _resolve(args, LIST_PRESETS_OPTIONS)
+    for name in available_presets(tuple(opts["features"])):
         print(name)
     return 0
 
 
-# name -> (help, function, config-backed options or None, further add_argument calls)
-COMMANDS: dict[str, tuple[str, Callable, dict[str, Opt] | None, tuple]] = {
+# name -> (help, function, config-backed options, further add_argument calls)
+COMMANDS: dict[str, tuple[str, Callable, dict[str, Opt], tuple]] = {
     "synth": ("generate a seeded synthetic collection + qrels", cmd_synth, SYNTH_OPTIONS, ()),
     "score": ("run a scoring preset, write a run file", cmd_score, SCORE_OPTIONS, ()),
     "learn": ("learn fusion weights from training qrels", cmd_learn, LEARN_OPTIONS, ()),
@@ -471,10 +485,7 @@ COMMANDS: dict[str, tuple[str, Callable, dict[str, Opt] | None, tuple]] = {
         "evaluate run files against qrels", cmd_eval, EVAL_OPTIONS,
         (("runs", {"nargs": "*", "help": "run files to evaluate"}),),
     ),
-    "list-presets": (
-        "list every supported preset name", cmd_list_presets, None,
-        (("--features", {"type": _csv, "default": None, "metavar": "color,cslbp,..."}),),
-    ),
+    "list-presets": ("list every supported preset name", cmd_list_presets, LIST_PRESETS_OPTIONS, ()),
 }
 
 
@@ -489,8 +500,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if command in (None, name):
-            if options is not None:
-                _add_options(p, options)
+            _add_options(p, options)
             for flag, kwargs in arguments:
                 p.add_argument(flag, **kwargs)
     return parser

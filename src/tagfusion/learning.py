@@ -336,7 +336,12 @@ class _ConceptEval:
         """Rank metric of the float fused ranking, (B,) values for the rows
         of a (B, m) weight array. `matmul` makes one gemv per stacked row, so
         each row is fused as `matrix @ w` would be; a gemm (`matrix @ W.T`)
-        rounds differently."""
+        rounds differently. So does one product over the stacked rows of
+        several concepts: of 4000 random concept blocks (1-199 rows, 2-4
+        estimators, 22 weight rows), 21 got other last bits than from their
+        own product (numpy 2.4 with its bundled BLAS). Fusing all concepts'
+        candidates at once therefore needs an exact kernel such as
+        `late_fuse`'s, not this one."""
         fused = np.matmul(self.matrix, w_norm[:, :, None])[..., 0]
         order = np.argsort(-fused, axis=1, kind="stable")  # ties by id: rows are id-sorted
         return rank_metric(self.rel[order], metric, cutoff)

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tagfusion.neighbors as neighbors
+from tagfusion.estimators import kde_table, vote_tables
 from tagfusion.neighbors import (
     CalibrationError,
     DistanceNormalizer,
@@ -16,6 +19,7 @@ from tagfusion.neighbors import (
     distance_block,
     knn,
     pairwise_l1,
+    top_k,
 )
 
 from conftest import distance_arrays, line_collection, make_collection
@@ -611,3 +615,80 @@ class TestKernelMemory:
         a, b = rng.uniform(size=(64, 8)), rng.uniform(size=(8000, 8))
         out, peak = traced_peak(lambda: pairwise_l1(a, b))
         assert peak <= out.nbytes + 2 * 2**20
+
+
+def tie_heavy_world(n):
+    """n images over two quantized 8-dim features (a quarter of the values
+    distinct per dimension) with every third vector a duplicate of an
+    earlier one; tag 'w' on half the images, 'v' on a third, 'one' on a
+    single image, and some images untagged."""
+    rng = np.random.default_rng(n)
+    features = {}
+    for name in ("visa", "visb"):
+        m = rng.integers(0, 4, size=(n, 8)) / 4
+        dup = np.arange(2, n, 3)
+        m[dup] = m[rng.integers(0, 2, size=len(dup))]
+        features[name] = m
+    records = [
+        (f"x{i:04d}", "u0", [t for t, on in (("w", i % 2), ("v", i % 3 == 0), ("one", i == 1)) if on])
+        for i in range(n)
+    ]
+    return make_collection(records, features)
+
+
+class TestUfuncBufferSize:
+    """The kernels cut numpy's ufunc buffer to one row; no output bit may
+    depend on the buffer size, and the caller's size comes back."""
+
+    SIZES = (16, 8192, 2**20)
+
+    @staticmethod
+    def outputs(c, n):
+        m = c.feature("visa").matrix
+        d = pairwise_l1(m, m)
+        d[np.arange(n), np.arange(n)] = np.nan
+        out = [d.tobytes(), DistanceNormalizer("rankmax").apply(d.copy()).tobytes()]
+        for k in sorted({1, 3, max(1, n - 2), n - 1, n}):
+            out.append(top_k(d, k, c.id_rank).tobytes())
+        wv = WeightVector.normalized(("visa", "visb"), (0.3, 0.7))
+        norms = {f: DistanceNormalizer("rankmax") for f in ("visa", "visb")}
+        for k in sorted({2, n - 1, n}):
+            for metric, normalizers in (("visa", None), (wv, norms)):
+                tables = vote_tables(c, ["w", "v", "one"], metric, normalizers, k)
+                out += [tables[t].scores.tobytes() for t in ("w", "v", "one")]
+        out.append(kde_table(c, "w", "visb", sample_cap=max(1, n // 4)).scores.tobytes())
+        return out
+
+    @pytest.mark.parametrize("n", [5, 300, 1000])
+    def test_outputs_bit_identical_at_every_buffer_size(self, monkeypatch, n):
+        c = tie_heavy_world(n)
+        seen = []
+        for cut in (True, False):  # False: the kernels run at the caller's size
+            if not cut:
+                monkeypatch.setattr(neighbors, "_row_buffer", lambda n: contextlib.nullcontext())
+            for size in self.SIZES:
+                old = np.setbufsize(size)
+                try:
+                    seen.append(self.outputs(c, n))
+                    assert np.getbufsize() == size
+                finally:
+                    np.setbufsize(old)
+        assert all(out == seen[0] for out in seen[1:])
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_caller_size_restored_after_a_raising_call(self, size):
+        old = np.setbufsize(size)
+        try:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pairwise_l1(np.zeros((2, 3)), np.zeros((4, 2)))
+            assert np.getbufsize() == size
+            with pytest.raises(TypeError):  # raised by the subtraction inside the cut
+                pairwise_l1(np.array([["a"]]), np.array([["b"]]))
+            assert np.getbufsize() == size
+            with pytest.raises(RuntimeError, match="inside"):
+                with neighbors._row_buffer(1000):
+                    assert np.getbufsize() == min(size, 1008)
+                    raise RuntimeError("inside")
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(old)

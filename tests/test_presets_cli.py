@@ -251,6 +251,24 @@ class TestCliSynth:
         assert "error: cluster_spread must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_feature_name_that_is_a_path_writes_nothing(self, tmp_path, capsys, from_config):
+        # each name becomes <out>/<name>.tsv: '../esc' would land beside the world
+        root = tmp_path / "root"
+        root.mkdir()
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("images = 20\ntags = 2\nfeatures = ../esc:2,a/b:2\n")
+        given = ["--config", str(cfg)]
+        if not from_config:
+            given = ["--images", "20", "--tags", "2", "--features", "../esc:2,a/b:2"]
+        assert main(["synth", "--out", str(root / "world"), *given]) == 2
+        where = f"{cfg}:3: features:" if from_config else "features"
+        assert capsys.readouterr().err == (
+            f"error: {where} spec '../esc:2': name '../esc' is not a plain file name\n"
+        )
+        assert list(root.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.txt", "root"]
+
     def test_negative_seed_refused(self, tmp_path, capsys):
         out = tmp_path / "world"
         assert main(["synth", "--out", str(out), "--seed", "-5"]) == 2
@@ -563,6 +581,39 @@ class TestCliScoreLearnEval:
         assert "[unjudged]" in out
 
 
+class TestCliNumpyState:
+    def test_commands_leave_bufsize_and_error_handling_as_found(self, tmp_path, capsys):
+        # the kernels cut numpy's ufunc buffer while they run; a library
+        # caller's numpy settings must come back unchanged
+        data, out = tmp_path / "data", tmp_path / "out"
+        common = [
+            "--tags", str(data / "tags.tsv"),
+            "--features", f"{data / 'visa.tsv'},{data / 'visb.tsv'}", "--k", "5",
+        ]
+        runs = [str(out / f"{p}.run") for p in ("tagrel-visa", "early-rankmax-average")]
+        commands = [
+            ["synth", "--out", str(data), "--images", "60", "--tags", "3",
+             "--features", "visa:2,visb:2", "--seed", "3"],
+            ["score", *common, "--preset", "tagrel-visa", "--out", runs[0]],
+            ["score", *common, "--preset", "early-rankmax-average", "--out", runs[1]],
+            ["score", *common, "--preset", "late-minmax-average",
+             "--estimators", "tagrel:visa,tagranking:visb", "--out", str(out / "kde.run")],
+            ["learn", *common, "--qrels", str(data / "qrels.tsv"), "--out", str(out / "late")],
+            ["learn", *common, "--qrels", str(data / "qrels.tsv"), "--scheme", "early",
+             "--out", str(out / "early")],
+            ["eval", "--qrels", str(data / "qrels.tsv"), *runs],
+        ]
+        old_size, old_err = np.setbufsize(4096), np.seterr(over="ignore")
+        try:
+            for argv in commands:
+                state = (np.getbufsize(), np.geterr())
+                assert main(argv) == 0, argv
+                assert (np.getbufsize(), np.geterr()) == state, argv[0]
+        finally:
+            np.setbufsize(old_size)
+            np.seterr(**old_err)
+
+
 class TestCliMisc:
     def test_list_presets_default_features(self, capsys):
         assert main(["list-presets"]) == 0
@@ -575,6 +626,16 @@ class TestCliMisc:
         assert main(["list-presets", "--features", "fa,fb"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 17  # 12 + 2 + 3
+
+    def test_list_presets_features_from_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("features = fa,fb\n")
+        assert main(["list-presets", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "".join(f"{p}\n" for p in available_presets(("fa", "fb")))
+
+    def test_list_presets_empty_feature_list_is_refused(self, capsys):
+        assert main(["list-presets", "--features", ","]) == 2
+        assert capsys.readouterr() == ("", "error: features must list at least one name\n")
 
     def test_config_file_supplies_flags_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"
@@ -672,7 +733,7 @@ COMMAND_FLAGS = {
         "--scheme --seed --tags --tol -h"
     ),
     "eval": "--config --cutoff --help --n-perm --out --qrels --seed -h",
-    "list-presets": "--features --help -h",
+    "list-presets": "--config --features --help -h",
 }
 
 
@@ -821,6 +882,7 @@ RANGED_CASES = [
     ("learn", "restarts", "-1", ["--scheme", "early"], "must be >= 1, got -1"),
     ("eval", "cutoff", "0", [], "must be >= 1, got 0"),
     ("eval", "n_perm", "0", [], "must be >= 1, got 0"),
+    ("list-presets", "features", ",", [], "must list at least one name"),
 ]
 # values argparse would take for an option string after the flag, values
 # that are not numbers at all, for ranged and unranged keys, and malformed
@@ -844,6 +906,13 @@ VALUE_CASES = [
     ("synth", "features", ":2", [], "spec ':2': must be name:dim"),
     ("synth", "features", ",", [], "must list at least one name:dim"),
     ("synth", "features", "a:2,a:3", [], "spec 'a:3': name 'a' repeats"),
+    (
+        "synth", "features", "../esc:2,a/b:2", [],
+        "spec '../esc:2': name '../esc' is not a plain file name",
+    ),
+    ("synth", "features", "va:2,a/b:2", [], "spec 'a/b:2': name 'a/b' is not a plain file name"),
+    ("synth", "features", "..:2", [], "spec '..:2': name '..' is not a plain file name"),
+    ("synth", "features", ".:2", [], "spec '.:2': name '.' is not a plain file name"),
     ("learn", "estimators", "tagrel:visa,tagposition,bogus", [], "unknown estimator spec 'bogus'"),
 ]
 
@@ -871,6 +940,7 @@ class TestCliNumericFlags:
             "score": [*common, "--preset", "tagrel-visa"],
             "learn": [*common, "--qrels", str(data / "qrels.tsv")],
             "eval": ["--qrels", str(data / "qrels.tsv"), str(run)],
+            "list-presets": [],
         }
 
     @pytest.mark.parametrize(
@@ -885,7 +955,9 @@ class TestCliNumericFlags:
         cfg = tmp_path / "conf.txt"
         cfg.write_text(f"# comment\n{key} = {value}\n")
         out = tmp_path / "o"
-        argv = [command, *world[command], *skip, "--out", str(out)]
+        argv = [command, *world[command], *skip]
+        if "out" in COMMANDS[command][2]:
+            argv += ["--out", str(out)]
         if key != "k" and command in ("score", "learn"):
             argv += ["--k", "5"]
         flag = "--" + key.replace("_", "-")
